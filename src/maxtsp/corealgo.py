@@ -91,9 +91,7 @@ def select_E0(inst: Instance, cover: CycleCover) -> Tuple[Edge, ...]:
     for cyc in cover.cycles:
         edges = sorted(cycle_edges(cyc), key=lambda e: (edge_weight(inst, e), e))
         pool.extend(edges[:2])
-    assert sum(edge_weight(inst, e) for e in pool) <= (2.0 / 3.0) * cover.weight + 1e-9 * max(
-        1.0, cover.weight
-    )
+    assert sum(edge_weight(inst, e) for e in pool) <= (2.0 / 3.0 + 1e-9) * cover.weight
     return tuple(sorted(pool))
 
 

@@ -1,23 +1,47 @@
 """Maximum-weight cycle cover (2-factor) of a complete metric graph.
 
-The cover is found by reduction to maximum-weight perfect matching on a
-gadget graph rather than by a direct 2-factor algorithm.  For each vertex
-u the gadget holds two copies of u, and for each unordered pair {u, v}
-two stub nodes joined by a zero-weight internal edge; each stub also
-connects to both copies of its own endpoint with weight dist(u, v) per
-external edge (the doubled representation of two half-weight edges, so no
-halving ever touches the numbers).  Perfect matchings of the gadget
-correspond one-to-one with 2-factors of the complete graph: pair {u, v}
-is used exactly when its internal edge is left unmatched, which forces
-both stubs onto vertex copies.  Matching weight is twice the 2-factor
-weight, so the maximum matching decodes to a maximum cover.
+The cover is priced by the fractional 2-matching LP
+
+    max sum d_e x_e   s.t.   x(delta(v)) = 2,   0 <= x <= 1,
+
+solved exactly as a capacitated transportation problem on the bipartite
+double cover (Edmonds 1965): arcs u -> v for u != v with capacity 1,
+supply and demand 2 at every vertex.  With z an optimal 0/1 flow, the
+symmetrisation x = (z + z^T) / 2 is a half-integral optimal LP point.
+Its half edges that form components with an even edge count are rounded
+to 0/1 along an Euler circuit, which keeps x feasible and optimal.  When
+x is then integral it is itself a maximum cover and nothing more is
+solved.
+
+Otherwise the LP's vertex duals y bound every cover F from above:
+
+    w(F) <= UB - sum_{e in F} rc_e,   UB = 2 sum y + sum_e s_e,
+
+with s_e = max(0, d_e - y_u - y_v) and rc_e = max(0, y_u + y_v - d_e).
+The bound holds for any y, so exactness never rests on the flow being
+optimal.  A cover of weight LB is found by exact matching on a gadget
+restricted to the LP support and each vertex's cheapest other edge;
+unless it reaches UB, matching runs once more on the edges with
+rc_e <= UB - LB, which hold every optimal cover.
+
+The gadget: for each vertex u two copies of u, and for each candidate
+pair {u, v} two stub nodes joined by a zero-weight internal edge; each
+stub also connects to both copies of its own endpoint with weight
+dist(u, v) per external edge (the doubled representation of two
+half-weight edges, so no halving ever touches the numbers).  Perfect
+matchings of the gadget correspond to 2-factors using only candidate
+pairs: pair {u, v} is used exactly when its internal edge is left
+unmatched, which forces both stubs onto vertex copies.  Matching weight
+is twice the 2-factor weight, so the maximum matching decodes to the
+heaviest cover on those pairs.  On all pairs the gadget has 2n + n(n-1)
+nodes and serves as the independent oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +50,17 @@ from .metricspace import Instance
 
 BRUTE_FORCE_COVER_CAP = 9
 
+# Slack of the pricing comparisons, times n * max distance.  It only ever
+# keeps more candidate edges or accepts a cover this close to the bound.
+PRICING_TOL_FACTOR = 1e-12
+
 Cycle = Tuple[int, ...]
+Pair = Tuple[int, int]
 
 
 def canonical_cycle(cycle: Sequence[int]) -> Cycle:
     """Rotate to the minimum vertex and fix direction (smaller successor first)."""
-    cyc = list(cycle)
+    cyc = [int(v) for v in cycle]
     if len(cyc) < 3:
         raise ValueError(f"cycle length must be >= 3, got {len(cyc)}")
     i = cyc.index(min(cyc))
@@ -105,20 +134,22 @@ def gadget_nodes(n: int) -> int:
     return 2 * n + n * (n - 1)
 
 
-def build_gadget(inst: Instance) -> WeightedGraph:
-    """Gadget graph whose perfect matchings encode 2-factors of the instance.
+def build_gadget(inst: Instance, pairs: Optional[Sequence[Pair]] = None) -> WeightedGraph:
+    """Gadget graph whose perfect matchings encode 2-factors on the given pairs.
 
-    Node layout: copies of vertex u are 2u and 2u+1; the stubs of pair
-    {u < v} with rank p are 2n+2p (u side) and 2n+2p+1 (v side).  External
-    edges carry dist(u, v) each, standing for two half-weight edges with
-    the factor of two kept explicit, so matching weight is exactly twice
-    the encoded 2-factor weight.
+    pairs lists candidate vertex pairs (u < v); the default is every pair
+    in lexicographic order.  Node layout: copies of vertex u are 2u and
+    2u+1; the stubs of the p-th pair {u < v} are 2n+2p (u side) and
+    2n+2p+1 (v side).  External edges carry dist(u, v) each, standing for
+    two half-weight edges with the factor of two kept explicit, so
+    matching weight is exactly twice the encoded 2-factor weight.
     """
     n = inst.n
     d = inst.dist
+    if pairs is None:
+        pairs = list(combinations(range(n), 2))
     edges: List[Tuple[int, int, float]] = []
-    for u, v in combinations(range(n), 2):
-        p = pair_rank(u, v, n)
+    for p, (u, v) in enumerate(pairs):
         su, sv = 2 * n + 2 * p, 2 * n + 2 * p + 1
         w = float(d[u, v])
         edges.append((su, sv, 0.0))
@@ -126,7 +157,7 @@ def build_gadget(inst: Instance) -> WeightedGraph:
         edges.append((2 * u + 1, su, w))
         edges.append((2 * v, sv, w))
         edges.append((2 * v + 1, sv, w))
-    return WeightedGraph(gadget_nodes(n), edges)
+    return WeightedGraph(2 * n + 2 * len(pairs), edges)
 
 
 def encode_cover(inst: Instance, cover: CycleCover) -> List[Tuple[int, int]]:
@@ -146,22 +177,13 @@ def encode_cover(inst: Instance, cover: CycleCover) -> List[Tuple[int, int]]:
     return pairs
 
 
-def decode_matching(inst: Instance, matching: Matching) -> CycleCover:
-    """2-factor selected by a perfect matching of the gadget.
-
-    Pair {u, v} is in the cover iff its internal stub edge is unmatched.
-    The cover weight is recomputed from the instance distances rather than
-    from the (doubled) matching weight.
-    """
+def _cover_from_pairs(inst: Instance, pairs: Iterable[Pair]) -> CycleCover:
+    """The cover whose edges are the given pairs (every vertex of degree 2)."""
     n = inst.n
-    matched = set(matching.pairs)
     adj: Dict[int, List[int]] = {u: [] for u in range(n)}
-    for u, v in combinations(range(n), 2):
-        p = pair_rank(u, v, n)
-        su, sv = 2 * n + 2 * p, 2 * n + 2 * p + 1
-        if (su, sv) not in matched:
-            adj[u].append(v)
-            adj[v].append(u)
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
     cycles = []
     seen = set()
     for start in range(n):
@@ -169,7 +191,7 @@ def decode_matching(inst: Instance, matching: Matching) -> CycleCover:
             continue
         if len(adj[start]) != 2:
             raise ValueError(
-                f"matching does not decode to a 2-factor: vertex {start} "
+                f"edges do not form a 2-factor: vertex {start} "
                 f"has degree {len(adj[start])}"
             )
         cyc = [start]
@@ -184,34 +206,202 @@ def decode_matching(inst: Instance, matching: Matching) -> CycleCover:
     return CycleCover.from_cycles(inst, cycles)
 
 
-def _best_hamiltonian_small(inst: Instance) -> CycleCover:
-    d = inst.dist
+def decode_matching(
+    inst: Instance, matching: Matching, pairs: Optional[Sequence[Pair]] = None
+) -> CycleCover:
+    """2-factor selected by a perfect matching of the gadget on these pairs.
+
+    pairs must be the list the gadget was built from (default: every
+    pair).  A pair is in the cover iff its internal stub edge is
+    unmatched.  The cover weight is recomputed from the instance distances
+    rather than from the (doubled) matching weight.
+    """
     n = inst.n
-    best_w = -np.inf
-    best = None
-    for perm in permutations(range(1, n)):
-        if perm[0] > perm[-1]:
+    if pairs is None:
+        pairs = list(combinations(range(n), 2))
+    matched = set(matching.pairs)
+    return _cover_from_pairs(
+        inst,
+        [pair for p, pair in enumerate(pairs) if (2 * n + 2 * p, 2 * n + 2 * p + 1) not in matched],
+    )
+
+
+def two_matching_lp(dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Fractional 2-matching LP as a transportation problem; returns (z, y).
+
+    z is a maximum-weight 0/1 plan on the bipartite double cover (zero
+    diagonal, every row and column sum 2), found by successive shortest
+    paths with potentials: 2n augmentations, each a dense Dijkstra in
+    O(n^2), so O(n^3) overall.  y holds vertex duals of the symmetric LP,
+    derived from the final potentials.
+    """
+    n = dist.shape[0]
+    top = float(dist.max())
+    # A plan always has 2n arcs, so shifting every cost by top changes no
+    # optimum and makes all costs nonnegative.
+    cost = top - dist
+    np.fill_diagonal(cost, np.inf)
+    z = np.zeros((n, n), dtype=bool)
+    supply = np.full(n, 2)
+    demand = np.full(n, 2)
+    # Potentials of the left copies, the right copies and the sink keep
+    # every residual arc's reduced cost nonnegative: the arc u -> v between
+    # copies has reduced cost cost[u, v] + pot_l[u] - pot_r[v], the source's
+    # arc into u costs -pot_l[u] (zero while u has supply left), the arc
+    # from v into the sink pot_r[v] - pot_t.  The source keeps potential 0.
+    pot_t = 0.0
+    pot_l = np.zeros(n)
+    pot_r = cost.min(axis=0)
+    for _ in range(2 * n):
+        red = cost + pot_l[:, None] - pot_r[None, :]
+        # Clamping rounding errors at zero keeps the search a true Dijkstra.
+        forward = np.where(z, np.inf, np.maximum(red, 0.0))
+        dist_l = np.where(supply > 0, -pot_l, np.inf)
+        via_r = np.full(n, -1)
+        through = dist_l[:, None] + forward
+        via_l = through.argmin(axis=0)
+        dist_r = through[via_l, np.arange(n)]
+        open_r = np.ones(n, dtype=bool)
+        reach, target = np.inf, -1
+        while True:
+            pending = np.where(open_r, dist_r, np.inf)
+            v = int(pending.argmin())
+            if not pending[v] < reach:
+                break
+            open_r[v] = False
+            if demand[v] > 0 and dist_r[v] + pot_r[v] - pot_t < reach:
+                reach, target = dist_r[v] + pot_r[v] - pot_t, v
+            for u in np.flatnonzero(z[:, v]):
+                label = dist_r[v] + max(0.0, -red[u, v])
+                if label >= dist_l[u]:
+                    continue
+                dist_l[u] = label
+                via_r[u] = v
+                row = label + forward[u]
+                better = open_r & (row < dist_r)
+                dist_r[better] = row[better]
+                via_l[better] = u
+        if target < 0:
+            raise RuntimeError("transportation problem is infeasible")
+        pot_l += np.minimum(dist_l, reach)
+        pot_r += np.minimum(dist_r, reach)
+        pot_t += reach
+        demand[target] -= 1
+        v = target
+        while True:
+            u = via_l[v]
+            z[u, v] = True
+            if via_r[u] < 0:
+                supply[u] -= 1
+                break
+            v = via_r[u]
+            z[u, v] = False
+    # Duals a_u = top + pot_l[u], b_v = -pot_r[v] satisfy a_u + b_v >= d_uv
+    # wherever z_uv = 0; the symmetric LP takes their average per vertex.
+    return z, 0.5 * (top + pot_l - pot_r)
+
+
+def _round_even_components(twice_x: np.ndarray, dist: np.ndarray) -> None:
+    """Round, in place, every half-edge component with an even edge count.
+
+    twice_x holds 2x for a half-integral LP optimum x.  The half edges
+    form components whose vertices all have degree 2 or 4.  Walking an
+    even component's Euler circuit and alternating +1/2, -1/2 (or the
+    reverse) keeps every degree, and since x is optimal and the average
+    of the two roundings, both weigh the same; the heavier in floating
+    point is kept.  Odd components stay half-integral.
+    """
+    n = twice_x.shape[0]
+    adj: Dict[int, List[int]] = {u: [] for u in range(n)}
+    for u, v in zip(*np.nonzero(np.triu(twice_x == 1))):
+        adj[int(u)].append(int(v))
+        adj[int(v)].append(int(u))
+    for start in range(n):
+        # Hierholzer: the edges come off the stack as a closed walk.
+        circuit: List[Pair] = []
+        stack: List[Tuple[int, Optional[Pair]]] = [(start, None)]
+        while stack:
+            v, edge = stack[-1]
+            if adj[v]:
+                w = adj[v].pop()
+                adj[w].remove(v)
+                stack.append((w, (v, w)))
+            else:
+                stack.pop()
+                if edge is not None:
+                    circuit.append(edge)
+        if not circuit or len(circuit) % 2:
             continue
-        cyc = (0,) + perm
-        w = cycle_weight(inst, cyc)
-        if w > best_w:
-            best_w, best = w, cyc
-    return CycleCover.from_cycles(inst, [best])
+        gain = sum(dist[e] for e in circuit[0::2]) - sum(dist[e] for e in circuit[1::2])
+        for i, (u, v) in enumerate(circuit):
+            twice_x[u, v] = twice_x[v, u] = 2 if (i % 2 == 0) == (gain >= 0) else 0
+
+
+def dual_bound(dist: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Upper bound UB and reduced costs rc of vertex duals y.
+
+    rc is indexed like np.triu_indices(n, 1).  For every y and every
+    cover F, w(F) <= UB - sum of rc over the edges of F.
+    """
+    iu, iv = np.triu_indices(dist.shape[0], 1)
+    slack = dist[iu, iv] - y[iu] - y[iv]
+    upper = 2.0 * float(y.sum()) + float(np.maximum(slack, 0.0).sum())
+    return upper, np.maximum(-slack, 0.0)
+
+
+def _matching_cover(inst: Instance, pairs: Sequence[Pair]) -> Optional[CycleCover]:
+    """Heaviest cover on the candidate pairs, or None if there is none."""
+    gadget = build_gadget(inst, pairs)
+    try:
+        matching = max_weight_perfect_matching(gadget)
+    except ValueError:
+        return None
+    return decode_matching(inst, matching, pairs)
 
 
 def max_weight_cycle_cover(inst: Instance) -> CycleCover:
     """Maximum-weight cycle cover, Step 1 of the gluing pipeline.
 
     The result's weight is an upper bound on the weight of every tour,
-    since a tour is itself a one-cycle cover.  For n <= 4 the only
-    feasible covers are single Hamiltonian cycles (no split into parts of
-    size >= 3 exists), so those sizes bypass the gadget.
+    since a tour is itself a one-cycle cover.  It is exact to within
+    1e-12 * n * max distance: see the module docstring for the pricing
+    argument.
     """
-    if inst.n <= 4:
-        return _best_hamiltonian_small(inst)
-    gadget = build_gadget(inst)
-    matching = max_weight_perfect_matching(gadget)
-    return decode_matching(inst, matching)
+    n, d = inst.n, inst.dist
+    z, y = two_matching_lp(d)
+    upper, rc = dual_bound(d, y)
+    tol = PRICING_TOL_FACTOR * n * float(d.max())
+    iu, iv = np.triu_indices(n, 1)
+    twice_x = z.astype(np.int8) + z.T.astype(np.int8)
+    _round_even_components(twice_x, d)
+    x = twice_x[iu, iv]
+    if not (x == 1).any():
+        cover = _cover_from_pairs(inst, zip(iu[x == 2], iv[x == 2]))
+        tried = np.zeros(len(rc), dtype=bool)
+    else:
+        # The support of a fractional optimum carries no 2-factor through
+        # its odd half cycles; add each vertex's cheapest edges outside it
+        # in reduced cost, more on every failure, until a cover exists.
+        support = x > 0
+        outside = np.full((n, n), np.inf)
+        outside[iu, iv] = outside[iv, iu] = np.where(support, np.inf, rc)
+        by_rc = np.argsort(outside, axis=1, kind="stable")
+        width = 1
+        cover = None
+        while cover is None:
+            near = np.zeros((n, n), dtype=bool)
+            np.put_along_axis(near, by_rc[:, : min(width, n - 1)], True, axis=1)
+            tried = support | (near | near.T)[iu, iv]
+            cover = _matching_cover(inst, list(zip(iu[tried], iv[tried])))
+            width *= 2
+    if cover.weight >= upper - tol:
+        return cover
+    # Every cover F with w(F) >= w(cover) has rc_e <= UB - w(cover) on each
+    # of its edges, so these pairs hold every maximum cover.
+    keep = rc <= upper - cover.weight + tol
+    if not (keep & ~tried).any():
+        return cover
+    return _matching_cover(inst, list(zip(iu[keep], iv[keep])))
 
 
 def _partitions_into_cycles(vertices: Tuple[int, ...]):

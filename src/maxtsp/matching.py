@@ -1,11 +1,14 @@
 """Exact maximum-weight perfect matching on general graphs.
 
-This is the engine behind the cycle-cover reduction in
-:mod:`maxtsp.cyclecover`.  The solver itself is networkx's blossom
-implementation (exact for integer weights, and exact in practice for the
-well-separated float weights this package feeds it); this module owns the
-graph/matching types, the perfect-matching contract on top of the engine,
-and a brute-force oracle used throughout the test suite.
+This is the exact engine behind :mod:`maxtsp.cyclecover`.  The cover
+solver calls it only when the 2-matching LP comes out fractional, and
+then on a gadget restricted to the LP's candidate pairs; on the full
+gadget it is the oracle the cover tests compare against.  The solver
+itself is networkx's blossom implementation (exact for integer weights,
+and exact in practice for the well-separated float weights this package
+feeds it); this module owns the graph/matching types, the
+perfect-matching contract on top of the engine, and a brute-force oracle
+used throughout the test suite.
 
 Weights may be negative: the reduction layer builds gadget graphs whose
 internal edges weigh zero, and the engine must not assume anything
@@ -54,13 +57,6 @@ class WeightedGraph:
         norm_edges.sort()
         object.__setattr__(self, "num_vertices", int(num_vertices))
         object.__setattr__(self, "edges", tuple(norm_edges))
-
-    def weight_of(self, u: int, v: int) -> float:
-        key = (min(u, v), max(u, v))
-        for a, b, w in self.edges:
-            if (a, b) == key:
-                return w
-        raise KeyError(f"no edge {key}")
 
 
 @dataclass(frozen=True)

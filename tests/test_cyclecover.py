@@ -1,9 +1,12 @@
 """Gadget reduction and cycle-cover solvers against enumeration oracles."""
 
+import json
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxtsp import (
     Instance,
@@ -12,24 +15,55 @@ from maxtsp import (
     held_karp_max,
     max_weight_cycle_cover,
 )
+import maxtsp.cyclecover as cyclecover
 from maxtsp.cyclecover import (
     CycleCover,
     build_gadget,
     canonical_cycle,
     cycle_weight,
     decode_matching,
+    dual_bound,
     encode_cover,
     gadget_nodes,
     pair_rank,
+    two_matching_lp,
     _partitions_into_cycles,
 )
 from maxtsp.matching import Matching, enumerate_perfect_matchings, max_weight_perfect_matching
+from maxtsp.metricspace import GeneratorSpec, generate
 
-from conftest import random_metric
+from conftest import integer_metric, line_instance, random_metric
 
 
 def equilateral(n):
     return Instance(np.ones((n, n)) - np.eye(n))
+
+
+def full_gadget_cover(inst):
+    """Maximum cover by blossom on the full gadget (oracle)."""
+    return decode_matching(inst, max_weight_perfect_matching(build_gadget(inst)))
+
+
+def degenerate_instances(n, seed):
+    """Ties, a duplicated point, extreme scales and the all-zero matrix."""
+    base = random_metric(n, seed)
+    dup = base.dist.copy()
+    dup[1, :] = dup[0, :]
+    dup[:, 1] = dup[:, 0]
+    dup[0, 1] = dup[1, 0] = dup[1, 1] = 0.0
+    yield "plain", base
+    yield "ties", Instance(np.round(base.dist * 3.0))
+    yield "duplicate", Instance(dup)
+    yield "scale 1e-12", Instance(base.dist * 1e-12)
+    yield "scale 1e12", Instance(base.dist * 1e12)
+    yield "all zero", Instance(np.zeros((n, n)))
+
+
+def random_weights(n, seed, high=10):
+    """Symmetric integer weights with no metric structure: LPs often fractional."""
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.integers(0, high, size=(n, n)).astype(np.float64), 1)
+    return Instance(w + w.T)
 
 
 def all_two_factors(inst):
@@ -122,6 +156,15 @@ class TestGadgetBijection:
         solver = max_weight_perfect_matching(g)
         assert solver.weight == pytest.approx(best_encoded, rel=1e-12)
 
+    def test_restricted_gadget_encodes_covers_on_its_pairs(self):
+        inst = random_metric(7, seed=5)
+        cover = CycleCover.from_cycles(inst, [[0, 1, 2], [3, 4, 5, 6]])
+        pairs = sorted(cover.edge_set() | {(0, 3), (2, 5)})
+        gadget = build_gadget(inst, pairs)
+        assert gadget.num_vertices == 2 * 7 + 2 * len(pairs)
+        decoded = decode_matching(inst, max_weight_perfect_matching(gadget), pairs)
+        assert decoded.cycles == cover.cycles
+
     def test_encode_decode_round_trip(self):
         inst = random_metric(7, seed=5)
         gadget = build_gadget(inst)
@@ -160,12 +203,101 @@ class TestMaxWeightCycleCover:
             slow = cycle_cover_brute_force(inst)
             assert fast.weight == pytest.approx(slow.weight, rel=1e-9), (n, seed)
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_degenerate_inputs_match_brute_force(self, n):
+        for seed in range(4 if n < 9 else 1):
+            for kind, inst in degenerate_instances(n, seed):
+                fast = max_weight_cycle_cover(inst)
+                slow = cycle_cover_brute_force(inst)
+                assert fast.weight == pytest.approx(slow.weight, rel=1e-9, abs=0.0), (
+                    n, seed, kind,
+                )
+
+    @pytest.mark.parametrize("n", (10, 20, 40))
+    @pytest.mark.parametrize("family,d", [("line", None), ("euclidean", 2), ("random-metric", None)])
+    def test_matches_full_gadget_blossom(self, n, family, d):
+        inst = generate(GeneratorSpec(family=family, n=n, d=d, seed=n))
+        fast = max_weight_cycle_cover(inst)
+        assert fast.weight == pytest.approx(full_gadget_cover(inst).weight, rel=1e-9)
+
+    def test_fractional_lps_match_full_gadget_blossom(self, monkeypatch):
+        priced = []
+        monkeypatch.setattr(
+            cyclecover, "max_weight_perfect_matching",
+            lambda g: priced.append(g) or max_weight_perfect_matching(g),
+        )
+        for seed in range(40):
+            inst = random_weights(10 + seed % 7, seed)
+            # integer weights, so float sums are exact and equality is fair
+            assert max_weight_cycle_cover(inst).weight == full_gadget_cover(inst).weight, seed
+        assert len(priced) >= 5
+
+    def test_integral_lp_runs_no_matching(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cyclecover, "max_weight_perfect_matching",
+            lambda g: calls.append(g) or max_weight_perfect_matching(g),
+        )
+        inst = line_instance(24, seed=0)
+        cover = max_weight_cycle_cover(inst)
+        assert calls == []
+        assert cover.weight == pytest.approx(full_gadget_cover(inst).weight, rel=1e-9)
+
+    # Both instances need the second matching run: the cover on the LP
+    # support and each vertex's cheapest other edge is lighter (8.3203 vs
+    # 8.3323, 184 vs 185) than the cover on the pairs the duals keep.
+    @pytest.mark.parametrize("inst", [random_metric(12, 33), integer_metric(19, 42)])
+    def test_fractional_lp_matches_on_smaller_gadgets(self, monkeypatch, inst):
+        sizes = []
+        monkeypatch.setattr(
+            cyclecover, "build_gadget",
+            lambda inst, pairs=None: sizes.append(len(pairs)) or build_gadget(inst, pairs),
+        )
+        cover = max_weight_cycle_cover(inst)
+        monkeypatch.undo()
+        assert len(sizes) == 2
+        assert all(k < inst.n * (inst.n - 1) // 2 for k in sizes)
+        assert cover.weight == pytest.approx(full_gadget_cover(inst).weight, rel=1e-12)
+
+    def test_cycles_hold_python_ints(self):
+        for inst in (line_instance(12, seed=1), random_metric(12, seed=33)):
+            cover = max_weight_cycle_cover(inst)
+            assert all(type(v) is int for c in cover.cycles for v in c)
+            json.dumps(cover.cycles)
+
     def test_cover_outweighs_best_tour(self):
         for n in (6, 10, 14):
             inst = random_metric(n, seed=n)
             cover = max_weight_cycle_cover(inst)
             tour = held_karp_max(inst)
             assert cover.weight >= tour.weight - 1e-9 * cover.weight
+
+
+class TestTwoMatchingLP:
+    def test_plan_is_a_double_cover_and_its_duals_close_the_gap(self):
+        for seed in range(10):
+            inst = random_metric(6 + seed, seed)
+            z, y = two_matching_lp(inst.dist)
+            assert not z.diagonal().any()
+            assert (z.sum(axis=0) == 2).all() and (z.sum(axis=1) == 2).all()
+            upper, _ = dual_bound(inst.dist, y)
+            lp_value = float((inst.dist * z).sum()) / 2.0
+            assert upper == pytest.approx(lp_value, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 6),
+        seed=st.integers(0, 10_000),
+        y=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=6, max_size=6),
+    )
+    def test_any_duals_price_every_cover(self, n, seed, y):
+        inst = random_metric(n, seed)
+        duals = np.array(y[:n])
+        upper, rc = dual_bound(inst.dist, duals)
+        slack = 1e-12 * (inst.dist.sum() + np.abs(duals).sum())
+        for cover in all_two_factors(inst):
+            priced = sum(rc[pair_rank(u, v, n)] for u, v in cover.edge_set())
+            assert cover.weight <= upper - priced + slack
 
 
 class TestBruteForceCover:
