@@ -20,7 +20,13 @@ from .cyclecover import (
     max_weight_cycle_cover,
 )
 from .driver import asymptotic, asymptotic_plan, eptas, eptas_plan
-from .exact import brute_force_tour, held_karp_max, minmax_transform, tour_weight_on
+from .exact import (
+    brute_force_tour,
+    exact_dp,
+    held_karp_max,
+    minmax_transform,
+    tour_weight_on,
+)
 from .matching import (
     Matching,
     WeightedGraph,
@@ -62,6 +68,7 @@ __all__ = [
     "eptas",
     "eptas_plan",
     "estimate_doubling",
+    "exact_dp",
     "generate",
     "glue_once",
     "gluing_loop",

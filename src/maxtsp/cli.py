@@ -7,10 +7,9 @@ import json
 import sys
 from typing import Optional
 
-from .certificate import Certificate
-from .corealgo import Tour, algorithm_A
+from .corealgo import algorithm_A
 from .driver import asymptotic, eptas
-from .exact import HELD_KARP_CAP, held_karp_max
+from .exact import HELD_KARP_CAP, exact_dp, held_karp_max
 from .merge import kostochka_serdyukov_56
 from .metricspace import (
     FAMILIES,
@@ -19,6 +18,8 @@ from .metricspace import (
     dump_instance,
     generate,
     load_instance,
+    metric_violation,
+    parse_instance,
     validate_metric,
 )
 
@@ -74,12 +75,6 @@ def _read_instance(path: str, dim: Optional[float]) -> Instance:
     return inst
 
 
-def _exact_certificate(tour: Tour) -> Certificate:
-    return Certificate(
-        branch="exact-dp", weight_tour=tour.weight, claimed_bound=1.0, certified=True
-    )
-
-
 def _run_solver(args, parser, inst: Instance):
     if args.eptas is not None:
         if args.dim is None:
@@ -92,10 +87,8 @@ def _run_solver(args, parser, inst: Instance):
     if args.algoA is not None:
         return algorithm_A(inst, args.algoA)
     if args.exact:
-        tour = held_karp_max(inst)
-        return tour, _exact_certificate(tour)
-    tour, cert = kostochka_serdyukov_56(inst)
-    return tour, cert
+        return exact_dp(inst)
+    return kostochka_serdyukov_56(inst)
 
 
 def _cmd_solve(args, parser) -> int:
@@ -132,15 +125,17 @@ def _cmd_generate(args) -> int:
 def _cmd_validate(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
-    # parse leniently: reuse the loader's parser but report instead of raising
     try:
-        inst = load_instance(text, tol=args.tol)
+        inst = parse_instance(text, tol=args.tol)
     except ValueError as exc:
         print(f"invalid: {exc}")
         return 1
     report = validate_metric(inst, tol=args.tol)
+    if not report.passed:
+        print(f"invalid: {metric_violation(report)}")
+        return 1
     print(report.summary())
-    return 0 if report.passed else 1
+    return 0
 
 
 def _parse_bench_solver(spec: str, dim: Optional[float], parser):
@@ -158,9 +153,9 @@ def _parse_bench_solver(spec: str, dim: Optional[float], parser):
             parser.error("--solver asymptotic requires --dim")
         return lambda inst: asymptotic(inst, dim)
     if name == "exact":
-        return lambda inst: (held_karp_max(inst), None)
+        return exact_dp
     if name == "five-sixths":
-        return lambda inst: kostochka_serdyukov_56(inst)
+        return kostochka_serdyukov_56
     parser.error(f"unknown solver spec {spec!r}")
 
 
@@ -195,8 +190,6 @@ def _cmd_bench(args, parser) -> int:
             if args.dim is not None:
                 inst = inst.with_dim_hint(args.dim)
             tour, cert = run(inst)
-            if cert is None:
-                cert = _exact_certificate(tour)
             ratio_cover = (
                 tour.weight / cert.weight_cover if cert.weight_cover else None
             )

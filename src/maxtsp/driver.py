@@ -22,7 +22,7 @@ from typing import Tuple
 
 from .certificate import Certificate
 from .corealgo import Tour, algorithm_A
-from .exact import HELD_KARP_CAP, held_karp_max
+from .exact import HELD_KARP_CAP, exact_dp
 from .merge import kostochka_serdyukov_56
 from .metricspace import Instance
 
@@ -69,16 +69,10 @@ def eptas(inst: Instance, epsilon: float, dim: float) -> Tuple[Tour, Certificate
         return tour, cert
     if branch == "exact-dp":
         if inst.n <= HELD_KARP_CAP:
-            tour = held_karp_max(inst)
-            cert = Certificate(
-                branch="exact-dp",
-                weight_tour=tour.weight,
-                claimed_bound=1.0,
-                certified=True,
-                epsilon=float(epsilon),
-                dim=float(dim),
-                n_threshold=n_threshold,
-            )
+            tour, cert = exact_dp(inst)
+            cert.epsilon = float(epsilon)
+            cert.dim = float(dim)
+            cert.n_threshold = n_threshold
             return tour, cert
         # prescribed exact, too large for the DP: run the pipeline and
         # say so; the claimed bound stays the pipeline's own

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, List, Tuple
 
-import networkx as nx
-
 BRUTE_FORCE_VERTEX_CAP = 12
 
 
@@ -96,7 +94,11 @@ def max_weight_perfect_matching(g: WeightedGraph) -> Matching:
     Raises ValueError when num_vertices is odd or no perfect matching
     exists.  Deterministic for a fixed input: the graph is handed to the
     engine in sorted edge order and the result is canonicalized.
+    networkx is imported here, not at module load: only a fractional
+    cover LP reaches this function, and the import costs about 18 MB.
     """
+    import networkx as nx
+
     if g.num_vertices % 2 != 0:
         raise ValueError(f"odd vertex count {g.num_vertices}, no perfect matching")
     graph = nx.Graph()

@@ -3,8 +3,8 @@
 An :class:`Instance` is a complete weighted graph given by a symmetric
 n x n distance matrix.  Solvers in this package assume the matrix is a
 metric (triangle inequality within tolerance); :func:`validate_metric`
-produces a report, and :func:`load_instance` / :func:`generate` run it
-for you.  Instances are immutable after construction.
+produces a report, and :func:`load_instance` runs it for you.
+Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -314,12 +314,12 @@ def dump_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_instance(text: str, tol: Optional[float] = None) -> Instance:
-    """Parse the text format and validate the result.
+def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
+    """Parse the text format without the O(n^3) triangle check.
 
-    Raises ValueError on malformed input, on n < 3, and on any metric-axiom
-    violation above tolerance (the message names the offending pair or
-    triple and the magnitude).
+    Raises ValueError on malformed input, on n < 3, and, in matrix mode,
+    on an asymmetric pair above tolerance.  :func:`load_instance` adds
+    the full metric check.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -384,15 +384,30 @@ def load_instance(text: str, tol: Optional[float] = None) -> Instance:
         inst = Instance(pairwise_distances(pts, norm), points=pts, norm=norm)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    return inst
 
+
+def metric_violation(report: MetricReport) -> str:
+    """One-line description of a failed report's first violation."""
+    if report.symmetry_violations:
+        i, j, gap = report.symmetry_violations[0]
+        return f"symmetry violation at pair ({i}, {j}), magnitude {gap!r}"
+    i, j, k = report.worst_triple
+    return (
+        f"triangle inequality violated by {report.max_triangle_violation!r} "
+        f"at triple ({i}, {j}) via {k}"
+    )
+
+
+def load_instance(text: str, tol: Optional[float] = None) -> Instance:
+    """Parse the text format and validate the result.
+
+    Raises ValueError on malformed input, on n < 3, and on any metric-axiom
+    violation above tolerance (the message names the offending pair or
+    triple and the magnitude).
+    """
+    inst = parse_instance(text, tol)
     report = validate_metric(inst, tol)
     if not report.passed:
-        if report.symmetry_violations:
-            i, j, gap = report.symmetry_violations[0]
-            raise ValueError(f"symmetry violation at pair ({i}, {j}), magnitude {gap!r}")
-        i, j, k = report.worst_triple
-        raise ValueError(
-            f"triangle inequality violated by {report.max_triangle_violation!r} "
-            f"at triple ({i}, {j}) via {k}"
-        )
+        raise ValueError(metric_violation(report))
     return inst

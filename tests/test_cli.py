@@ -1,10 +1,17 @@
 """CLI behavior, run in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxtsp
+import maxtsp.cli
+import maxtsp.metricspace
 from maxtsp import GeneratorSpec, Instance, brute_force_tour, dump_instance, generate
 from maxtsp.cli import main
 
@@ -61,6 +68,49 @@ class TestGenerateValidate:
         rc = main(["validate", "/nonexistent/nowhere.txt"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestValidateChecksOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = maxtsp.metricspace.validate_metric
+
+        def counting(*args, **kwargs):
+            seen.append(args[0].n)
+            return real(*args, **kwargs)
+
+        for module in (maxtsp.cli, maxtsp.metricspace):
+            monkeypatch.setattr(module, "validate_metric", counting)
+        return seen
+
+    def test_valid_file(self, tmp_path, capsys, calls):
+        path = write_instance(tmp_path, random_metric(7, 2))
+        assert main(["validate", path]) == 0
+        assert "result: pass" in capsys.readouterr().out
+        assert calls == [7]
+
+    def test_violated_file_message_is_unchanged(self, tmp_path, capsys, calls):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "maxtsp v1 3 matrix\n0.0 10.0 1.0\n10.0 0.0 1.0\n1.0 1.0 0.0\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "invalid: triangle inequality violated by 8.0 at triple (0, 1) via 2\n"
+        )
+        assert calls == [3]
+
+
+def test_import_leaves_networkx_unloaded():
+    src = str(Path(maxtsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, maxtsp; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestSolve:

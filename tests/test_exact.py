@@ -1,6 +1,7 @@
 """Exact tour oracles and the max/min transform."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -8,19 +9,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxtsp import (
+    GeneratorSpec,
     Instance,
     brute_force_tour,
+    exact_dp,
+    generate,
     held_karp_max,
+    kostochka_serdyukov_56,
     minmax_transform,
     tour_weight_on,
 )
 from maxtsp.exact import BRUTE_FORCE_TOUR_CAP, HELD_KARP_CAP
+from maxtsp.metricspace import pairwise_distances
 
 from conftest import random_metric
+
+FAMILIES = ("line", "euclidean", "random-metric")
 
 
 def equilateral(n):
     return Instance(np.ones((n, n)) - np.eye(n))
+
+
+def family_instance(family, n, seed):
+    d = 2 if family == "euclidean" else None
+    return generate(GeneratorSpec(family=family, n=n, seed=seed, d=d))
+
+
+def small_integer_weights(n, seed):
+    # every weight in {2, 3, 4}: any two sum to at least the third, so
+    # the matrix is a metric, and almost every tour ties with another
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(2, 5, size=(n, n)).astype(np.float64)
+    raw = np.triu(raw, 1)
+    return Instance(raw + raw.T)
+
+
+def duplicate_points(n, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 1.0, size=((n + 1) // 2, 2))
+    pts = np.concatenate([base, base])[:n]
+    return Instance(pairwise_distances(pts, "euclidean"), points=pts, norm="euclidean")
+
+
+TIE_HEAVY = {
+    "equilateral": lambda n, seed: equilateral(n),
+    "all-zero": lambda n, seed: Instance(np.zeros((n, n))),
+    "small-integer": small_integer_weights,
+    "duplicate-points": duplicate_points,
+}
+
+
+def assert_exact_tour(inst, tour):
+    assert sorted(tour.order) == list(range(inst.n))
+    assert tour.order[0] == 0
+    assert tour_weight_on(inst, tour.order) == pytest.approx(tour.weight, rel=1e-12, abs=0)
 
 
 class TestHeldKarp:
@@ -47,11 +90,60 @@ class TestHeldKarp:
             assert dp.weight == pytest.approx(bf.weight, rel=1e-12)
             assert tour_weight_on(inst, dp.order) == pytest.approx(dp.weight, rel=1e-12)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(3, BRUTE_FORCE_TOUR_CAP + 1))
+    def test_families_match_brute_force(self, family, n):
+        inst = family_instance(family, n, seed=100 + n)
+        dp = held_karp_max(inst)
+        assert dp.weight == pytest.approx(brute_force_tour(inst).weight, rel=1e-12, abs=0)
+        assert_exact_tour(inst, dp)
+
+    @pytest.mark.parametrize("kind", sorted(TIE_HEAVY))
+    def test_tie_heavy_inputs_match_brute_force(self, kind):
+        for n in range(3, BRUTE_FORCE_TOUR_CAP + 1):
+            inst = TIE_HEAVY[kind](n, n)
+            dp = held_karp_max(inst)
+            # abs=0 as well: the all-zero optimum is exactly 0.0
+            assert dp.weight == pytest.approx(brute_force_tour(inst).weight, rel=1e-12, abs=0)
+            assert_exact_tour(inst, dp)
+
+    @pytest.mark.parametrize("n", range(BRUTE_FORCE_TOUR_CAP + 1, HELD_KARP_CAP + 1))
+    def test_between_five_sixths_tour_and_cover(self, n):
+        # above the brute-force cap: any tour weighs at most the optimum,
+        # and the maximum cycle cover weighs at least it
+        inst = family_instance(FAMILIES[n % 3], n, seed=n)
+        dp = held_karp_max(inst)
+        five, cert = kostochka_serdyukov_56(inst)
+        slack = 1.0 + 1e-12
+        assert five.weight <= dp.weight * slack
+        assert dp.weight <= cert.weight_cover * slack
+        assert_exact_tour(inst, dp)
+
+    def test_cap_size_returns_a_permutation_in_budget(self):
+        inst = small_integer_weights(HELD_KARP_CAP, 7)
+        start = time.perf_counter()
+        tour = held_karp_max(inst)
+        elapsed = time.perf_counter() - start
+        assert_exact_tour(inst, tour)
+        assert elapsed < 5.0, f"n = {HELD_KARP_CAP} took {elapsed:.2f} s"
+
     def test_size_cap(self):
         n = HELD_KARP_CAP + 1
         inst = Instance(np.ones((n, n)) - np.eye(n))
         with pytest.raises(ValueError, match="capped"):
             held_karp_max(inst)
+
+
+class TestExactDp:
+    def test_certificate_records_an_exact_tour(self):
+        inst = random_metric(9, 4)
+        tour, cert = exact_dp(inst)
+        assert tour == held_karp_max(inst)
+        assert cert.branch == "exact-dp"
+        assert cert.certified is True
+        assert cert.claimed_bound == 1.0
+        assert cert.weight_tour == tour.weight
+        assert cert.weight_cover is None and cert.k_initial is None
 
 
 class TestBruteForce:
