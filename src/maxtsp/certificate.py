@@ -61,8 +61,9 @@ class Certificate:
             raise ValueError(f"claimed_bound must be in (0, 1], got {self.claimed_bound!r}")
         if self.weight_cover is not None:
             # a tour is itself a cover, so the max cover can never be
-            # lighter; allow last-bit float noise between the two sums
-            slack = 1e-9 * max(1.0, abs(self.weight_cover))
+            # lighter; allow last-bit float noise between the two sums,
+            # relative to the cover and with no absolute floor
+            slack = 1e-9 * abs(self.weight_cover)
             if self.weight_tour > self.weight_cover + slack:
                 raise ValueError(
                     f"tour weight {self.weight_tour!r} exceeds cover weight {self.weight_cover!r}"

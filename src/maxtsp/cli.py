@@ -15,6 +15,7 @@ from .metricspace import (
     FAMILIES,
     GeneratorSpec,
     Instance,
+    check_tol,
     dump_instance,
     generate,
     load_instance,
@@ -123,6 +124,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.tol is not None:
+        check_tol(args.tol)
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:

@@ -19,8 +19,13 @@ NORM_TAGS = ("euclidean", "manhattan", "chebyshev")
 FAMILIES = ("line", "euclidean", "random-metric")
 
 # Default absolute tolerance for metric checks is this factor times the
-# largest distance in the matrix (floor of 1.0 so all-zero inputs work).
+# largest distance in the matrix, with no floor: an all-zero matrix gets
+# tolerance 0, which it meets exactly.
 DEFAULT_TOL_FACTOR = 1e-9
+
+# Row blocks of the min-plus triangle check hold about this many entries,
+# so a block and its scratch buffer stay in cache across the pass over k.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class Instance:
@@ -161,38 +166,112 @@ class MetricReport:
 
 
 def default_tol(dist: np.ndarray) -> float:
-    return DEFAULT_TOL_FACTOR * max(1.0, float(dist.max()))
+    """1e-9 times the largest distance; 0.0 for an all-zero matrix."""
+    return DEFAULT_TOL_FACTOR * float(dist.max())
+
+
+def check_tol(tol: float) -> float:
+    """tol as a float; ValueError unless it is a non-negative number."""
+    tol = float(tol)
+    if not tol >= 0.0:  # also rejects NaN
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    return tol
+
+
+def _min_plus_square(d: np.ndarray, symmetric: bool) -> np.ndarray:
+    """S[i, j] = min over k of d[i, k] + d[k, j], in float64 arithmetic.
+
+    Rows are filled in blocks of about _BLOCK_ENTRIES entries (one block
+    of all n rows when d is smaller), with one add and one minimum per
+    (block, k) into buffers sized to the block and allocated up front.  On a
+    symmetric d, S is symmetric too (float addition commutes), so each
+    block fills only the columns from its first row onward and copies the
+    rest from the transpose of the blocks above it.
+    """
+    n = d.shape[0]
+    rows = min(n, max(1, _BLOCK_ENTRIES // n))
+    s = np.empty_like(d)
+    scratch = np.empty(rows * n)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        c0 = r0 if symmetric else 0
+        block = s[r0:r1, c0:]
+        tmp = scratch[: block.size].reshape(block.shape)
+        np.add(d[r0:r1, :1], d[:1, c0:], out=block)
+        for k in range(1, n):
+            np.add(d[r0:r1, k : k + 1], d[k : k + 1, c0:], out=tmp)
+            np.minimum(block, tmp, out=block)
+        if symmetric:
+            s[r0:r1, :r0] = s[:r0, r0:r1].T
+    return s
+
+
+def _first_worst_triple(d: np.ndarray, worst: float, rows: np.ndarray):
+    """(gap, (i, j, k)) for the smallest k, then the first (i, j) in
+    row-major order, with gap = d[i, j] - (d[i, k] + d[k, j]) == worst.
+
+    rows lists, ascending, the rows that hold a pair attaining worst; no
+    other row can hold the triple.  They are scanned in blocks of about
+    _BLOCK_ENTRIES gaps (no larger than the rows themselves), each block
+    only over the k below the best found in the blocks before it.
+    """
+    n = d.shape[0]
+    step = max(1, min(rows.size, _BLOCK_ENTRIES // n))
+    gap = np.empty((step, n))
+    hit = np.empty((step, n), dtype=bool)
+    best = None
+    for c in range(0, rows.size, step):
+        chunk = rows[c : c + step]
+        block = d[chunk]
+        g, h = gap[: chunk.size], hit[: chunk.size]
+        for k in range(n if best is None else best[1][2]):
+            np.add(block[:, k : k + 1], d[k : k + 1, :], out=g)
+            np.subtract(block, g, out=g)
+            np.equal(g, worst, out=h)
+            r, j = divmod(int(np.argmax(h)), n)
+            if h[r, j]:
+                best = float(g[r, j]), (int(chunk[r]), j, k)
+                break
+    return best
 
 
 def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport:
     """Check symmetry and the triangle inequality, reporting every violation.
 
-    tol is an absolute slack; when omitted it defaults to 1e-9 scaled by
-    the largest distance.  The report never raises; callers decide what a
-    failure means.
+    tol is an absolute slack; when omitted it defaults to 1e-9 times the
+    largest distance (0 on an all-zero matrix).  A NaN or negative tol
+    raises ValueError; otherwise the report never raises and callers
+    decide what a failure means.
+
+    The triangle check is a min-plus pass: S[i, j] = min_k fl(d[i, k] +
+    d[k, j]), then max_triangle_violation = max_ij fl(d[i, j] - S[i, j]).
+    Rounded subtraction is monotone, so fl(d[i, j] - S[i, j]) equals
+    max_k fl(d[i, j] - fl(d[i, k] + d[k, j])) exactly, and the maximum is
+    the one a loop over every triple would find, bit for bit.  worst_triple
+    is (i, j, k) for the smallest k attaining that maximum and, within that
+    k, the first (i, j) in row-major order; the value reported is that
+    triple's own gap, so even the sign of a zero matches the loop.
     """
     d = inst.dist
     n = inst.n
-    if tol is None:
-        tol = default_tol(d)
-    report = MetricReport(n=n, tol=float(tol))
+    tol = default_tol(d) if tol is None else check_tol(tol)
+    report = MetricReport(n=n, tol=tol)
 
-    asym = np.abs(d - d.T)
-    for i, j in np.argwhere(np.triu(asym, k=1) > tol):
+    asym = d - d.T
+    np.abs(asym, out=asym)
+    for i, j in np.argwhere(np.triu(asym > tol, k=1)):
         report.symmetry_violations.append((int(i), int(j), float(asym[i, j])))
+    symmetric = not asym.any()
+    del asym
 
-    worst = -math.inf
-    worst_triple = None
-    for k in range(n):
-        # violation matrix for intermediate k: d[i,j] - (d[i,k] + d[k,j])
-        gap = d - (d[:, k : k + 1] + d[k : k + 1, :])
-        idx = int(np.argmax(gap))
-        i, j = divmod(idx, n)
-        if gap[i, j] > worst:
-            worst = float(gap[i, j])
-            worst_triple = (int(i), int(j), k)
+    gaps = _min_plus_square(d, symmetric)
+    np.subtract(d, gaps, out=gaps)
+    worst = gaps.max()
+    rows = np.flatnonzero((gaps == worst).any(axis=1))
+    del gaps
+    worst, triple = _first_worst_triple(d, worst, rows)
     report.max_triangle_violation = worst
-    report.worst_triple = worst_triple
+    report.worst_triple = triple
     report.passed = not report.symmetry_violations and worst <= tol
     return report
 
@@ -319,8 +398,9 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
 
     Raises ValueError on malformed input, on n < 3, and, in matrix mode,
     on an asymmetric pair above tolerance.  :func:`load_instance` adds
-    the full metric check.
+    the full metric check.  A NaN or negative tol raises ValueError.
     """
+    sym_tol = None if tol is None else check_tol(tol)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty instance file")
@@ -346,12 +426,10 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
         if any(len(r) != n for r in rows):
             raise ValueError(f"matrix rows must have {n} entries")
         dist = np.array(rows, dtype=np.float64)
+        if sym_tol is None:
+            sym_tol = default_tol(np.abs(dist))
         asym = np.abs(dist - dist.T)
-        if tol is None:
-            check_tol = default_tol(np.abs(dist))
-        else:
-            check_tol = tol
-        bad = np.argwhere(np.triu(asym, k=1) > check_tol)
+        bad = np.argwhere(np.triu(asym > sym_tol, k=1))
         if bad.size:
             i, j = (int(v) for v in bad[0])
             raise ValueError(

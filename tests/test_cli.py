@@ -69,6 +69,23 @@ class TestGenerateValidate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_validate_tolerance_scales_with_the_data(self, tmp_path, capsys, scale):
+        # 3 > 1 + 1 at d[0,3]: rejected at every scale, as the default
+        # tolerance is relative to the largest distance
+        d = np.array([[0, 1, 1, 3], [1, 0, 1, 1], [1, 1, 0, 1], [3, 1, 1, 0]]) * scale
+        path = write_instance(tmp_path, Instance(d))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out.startswith("invalid: triangle inequality violated")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_validate_rejects_nan_or_negative_tol(self, tmp_path, capsys, tol):
+        path = write_instance(tmp_path, equilateral(4))
+        assert main(["validate", path, "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tol must be a non-negative number" in captured.err
+
 
 class TestValidateChecksOnce:
     @pytest.fixture

@@ -217,3 +217,19 @@ class TestCertificate:
                 certified=True,
                 weight_cover=4.0,
             )
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_cover_slack_is_relative_with_no_floor(self, scale):
+        def cert(tour, cover):
+            return Certificate(
+                branch="algorithm-A",
+                weight_tour=tour * scale,
+                claimed_bound=0.5,
+                certified=True,
+                weight_cover=cover * scale,
+            )
+
+        cert(4.0 * (1 + 1e-12), 4.0)  # last-bit noise passes
+        cert(0.0, 0.0)
+        with pytest.raises(ValueError, match="exceeds"):
+            cert(5.0, 4.0)

@@ -1,6 +1,7 @@
 """Instance model, validation, generation, doubling estimate, file I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,74 @@ from maxtsp import (
     load_instance,
     validate_metric,
 )
-from maxtsp.metricspace import pairwise_distances
+from maxtsp.metricspace import parse_instance, pairwise_distances
 
 from conftest import random_metric
 
 
 def equilateral(n):
     return Instance(np.ones((n, n)) - np.eye(n))
+
+
+# d[0,3] = 3 > d[0,1] + d[1,3] = 2: a violation of a third of the longest
+# distance, at any scale
+FOUR_POINT_VIOLATION = np.array(
+    [[0, 1, 1, 3], [1, 0, 1, 1], [1, 1, 0, 1], [3, 1, 1, 0]], dtype=float
+)
+
+
+def loop_triangle_check(d):
+    """The per-k loop over every triple: (max violation, (i, j, k)).
+
+    Reference for validate_metric: strict > across k, argmax in row-major
+    order within one k.
+    """
+    n = d.shape[0]
+    worst, triple = -math.inf, None
+    for k in range(n):
+        gap = d - (d[:, k : k + 1] + d[k : k + 1, :])
+        i, j = divmod(int(np.argmax(gap)), n)
+        if gap[i, j] > worst:
+            worst, triple = float(gap[i, j]), (i, j, k)
+    return worst, triple
+
+
+def assert_matches_loop(inst, tol=None):
+    rep = validate_metric(inst, tol)
+    worst, triple = loop_triangle_check(inst.dist)
+    assert np.float64(rep.max_triangle_violation).tobytes() == np.float64(worst).tobytes()
+    assert rep.worst_triple == triple
+    assert rep.passed == (not rep.symmetry_violations and worst <= rep.tol)
+    return rep
+
+
+@st.composite
+def distance_matrices(draw):
+    """Square non-negative matrices with a zero diagonal: uniform or small
+    integer weights (many ties), distances between duplicated grid points,
+    or all zeros; symmetric or not; with or without off-diagonal -0.0
+    entries; scaled by 1e-12 to 1e12."""
+    n = draw(st.integers(min_value=3, max_value=40))
+    kind = draw(st.sampled_from(["uniform", "small-int", "duplicate-points", "zero"]))
+    symmetric = draw(st.booleans())
+    signed_zeros = draw(st.booleans())
+    scale = 10.0 ** draw(st.integers(min_value=-12, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "uniform":
+        d = rng.uniform(0.0, 1.0, size=(n, n))
+    elif kind == "small-int":
+        d = rng.integers(0, 4, size=(n, n)).astype(float)
+    elif kind == "duplicate-points":
+        d = pairwise_distances(rng.integers(0, 3, size=(n, 2)), "euclidean")
+    else:
+        d = np.zeros((n, n))
+    if symmetric:
+        d = np.minimum(d, d.T)
+    d = d * scale
+    if signed_zeros:
+        d[d == 0.0] = -0.0
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 class TestInstance:
@@ -78,6 +140,90 @@ class TestValidateMetric:
         # the random-metric repair iterates to a float fixed point, so it
         # passes with zero tolerance
         assert validate_metric(random_metric(12, 3), tol=0.0).passed
+
+    @settings(max_examples=300, deadline=None)
+    @given(distance_matrices(), st.sampled_from([None, 0.0, 1e-3]))
+    def test_report_equals_the_loop_over_every_triple(self, d, tol):
+        assert_matches_loop(Instance(d), tol)
+
+    def test_several_blocks_symmetric(self):
+        # n > 256 splits the min-plus pass into more than one row block
+        inst = generate(GeneratorSpec(family="euclidean", n=300, d=2, seed=4))
+        assert assert_matches_loop(inst, tol=0.0).passed
+
+    def test_several_blocks_asymmetric(self):
+        d = np.random.default_rng(8).uniform(0.0, 1.0, size=(290, 290))
+        np.fill_diagonal(d, 0.0)
+        rep = assert_matches_loop(Instance(d))
+        assert rep.symmetry_violations and not rep.passed
+
+    def test_several_blocks_many_tied_rows(self):
+        # integer weights 0..3 tie on thousands of worst pairs, so the
+        # triple is recovered over more than one block of candidate rows
+        d = np.random.default_rng(9).integers(0, 4, size=(300, 300)).astype(float)
+        np.fill_diagonal(d, 0.0)
+        rep = assert_matches_loop(Instance(d))
+        assert rep.max_triangle_violation == 3.0
+
+    def test_several_blocks_injected_violation(self):
+        inst = generate(GeneratorSpec(family="line", n=270, seed=6))
+        d = inst.dist.copy()
+        i, j = 31, 262
+        d[i, j] = d[j, i] = (d[i] + d[j])[[k for k in range(270) if k not in (i, j)]].min() + 0.5
+        rep = assert_matches_loop(Instance(d))
+        assert not rep.passed
+        assert rep.worst_triple[:2] == (i, j)
+
+    def test_all_zero_matrix_has_zero_tolerance_and_passes(self):
+        rep = assert_matches_loop(Instance(np.zeros((5, 5))))
+        assert rep.tol == 0.0
+        assert rep.passed
+        assert load_instance("maxtsp v1 3 matrix\n0 0 0\n0 0 0\n0 0 0\n").n == 3
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_tolerance_scales_with_the_data(self, scale):
+        inst = Instance(FOUR_POINT_VIOLATION * scale)
+        rep = validate_metric(inst)
+        assert rep.tol == pytest.approx(3e-9 * scale)
+        assert not rep.passed
+        assert rep.max_triangle_violation == pytest.approx(scale)
+        with pytest.raises(ValueError, match="triangle"):
+            load_instance(dump_instance(inst))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+    def test_nan_or_negative_tol_raises(self, tol):
+        text = dump_instance(equilateral(4))
+        with pytest.raises(ValueError, match="non-negative"):
+            validate_metric(equilateral(4), tol=tol)
+        with pytest.raises(ValueError, match="non-negative"):
+            parse_instance(text, tol=tol)
+        with pytest.raises(ValueError, match="non-negative"):
+            load_instance(text, tol=tol)
+
+    def test_memory_peak_stays_near_one_matrix(self):
+        # the check holds one n x n matrix of gaps plus block-sized
+        # buffers; this bound keeps the validate workload's peak RSS flat
+        n = 600
+        inst = generate(GeneratorSpec(family="euclidean", n=n, d=2, seed=5))
+        tracemalloc.start()
+        try:
+            validate_metric(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8
+
+    def test_small_matrix_buffers_fit_the_matrix(self):
+        # every solve request validates its instance, at n of a few dozen;
+        # block buffers of the full block size would cost about 0.6 MB there
+        inst = generate(GeneratorSpec(family="euclidean", n=17, d=2, seed=5))
+        tracemalloc.start()
+        try:
+            validate_metric(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
 
 
 class TestGenerate:
