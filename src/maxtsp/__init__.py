@@ -25,7 +25,6 @@ from .exact import (
     exact_dp,
     held_karp_max,
     minmax_transform,
-    tour_weight_on,
 )
 from .matching import (
     Matching,
@@ -83,7 +82,6 @@ __all__ = [
     "r_tau",
     "select_E0",
     "serdyukov_combine",
-    "tour_weight_on",
     "try_delta_gluing",
     "validate_metric",
 ]

@@ -25,6 +25,15 @@ from .metricspace import (
 )
 
 ORACLE_N_CAP = 10
+# Solver name -> spec as bench --solver takes it; solve selects the same
+# solvers by the flags --<name>.
+SOLVER_SPECS = {
+    "algoA": "algoA:<delta>",
+    "eptas": "eptas:<eps>",
+    "asymptotic": "asymptotic",
+    "exact": "exact",
+    "five-sixths": "five-sixths",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--family", required=True, choices=FAMILIES)
     p_bench.add_argument("--n-list", required=True, help="comma-separated sizes")
     p_bench.add_argument("--seeds", required=True, type=int)
-    p_bench.add_argument("--solver", required=True, help="algoA:<delta> | eptas:<eps> | asymptotic | exact | five-sixths")
+    p_bench.add_argument("--solver", required=True, help=" | ".join(SOLVER_SPECS.values()))
     p_bench.add_argument("--dim", type=float)
     p_bench.add_argument("--d", type=int, help="coordinate dimension (euclidean)")
     p_bench.add_argument("--scale", type=float, default=1.0)
@@ -76,25 +85,35 @@ def _read_instance(path: str, dim: Optional[float]) -> Instance:
     return inst
 
 
-def _run_solver(args, parser, inst: Instance):
-    if args.eptas is not None:
-        if args.dim is None:
-            parser.error("--eptas requires --dim")
-        return eptas(inst, args.eptas, args.dim)
-    if args.asymptotic:
-        if args.dim is None:
-            parser.error("--asymptotic requires --dim")
-        return asymptotic(inst, args.dim)
-    if args.algoA is not None:
-        return algorithm_A(inst, args.algoA)
-    if args.exact:
-        return exact_dp(inst)
-    return kostochka_serdyukov_56(inst)
+def _solver(name: str, param, dim: Optional[float], parser, flag: str):
+    """The function inst -> (Tour, Certificate) for one solver name.
+
+    param is the delta of algoA or the epsilon of eptas, as given on the
+    command line; the other solvers ignore it.  flag names the solver in
+    the error raised when it needs --dim and has none.
+    """
+    if name in ("algoA", "eptas"):
+        param = float(param)
+    if name in ("eptas", "asymptotic") and dim is None:
+        parser.error(f"{flag} requires --dim")
+    if name == "algoA":
+        return lambda inst: algorithm_A(inst, param)
+    if name == "eptas":
+        return lambda inst: eptas(inst, param, dim)
+    if name == "asymptotic":
+        return lambda inst: asymptotic(inst, dim)
+    if name == "exact":
+        return exact_dp
+    return kostochka_serdyukov_56
 
 
 def _cmd_solve(args, parser) -> int:
     inst = _read_instance(args.file, args.dim)
-    tour, cert = _run_solver(args, parser, inst)
+    for name in SOLVER_SPECS:
+        param = getattr(args, name.replace("-", "_"))
+        if param is not None and param is not False:
+            break
+    tour, cert = _solver(name, param, args.dim, parser, f"--{name}")(inst)
     if args.out == "json":
         payload = {
             "tour": list(tour.order),
@@ -141,27 +160,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _parse_bench_solver(spec: str, dim: Optional[float], parser):
-    name, _, param = spec.partition(":")
-    if name == "algoA":
-        delta = float(param)
-        return lambda inst: algorithm_A(inst, delta)
-    if name == "eptas":
-        eps = float(param)
-        if dim is None:
-            parser.error("--solver eptas:<eps> requires --dim")
-        return lambda inst: eptas(inst, eps, dim)
-    if name == "asymptotic":
-        if dim is None:
-            parser.error("--solver asymptotic requires --dim")
-        return lambda inst: asymptotic(inst, dim)
-    if name == "exact":
-        return exact_dp
-    if name == "five-sixths":
-        return kostochka_serdyukov_56
-    parser.error(f"unknown solver spec {spec!r}")
-
-
 def _fmt(value) -> str:
     if value is None:
         return "-"
@@ -177,7 +175,10 @@ def _cmd_bench(args, parser) -> int:
         parser.error(f"bad --n-list {args.n_list!r}")
     if not sizes:
         parser.error("empty --n-list")
-    run = _parse_bench_solver(args.solver, args.dim, parser)
+    name, _, param = args.solver.partition(":")
+    if name not in SOLVER_SPECS:
+        parser.error(f"unknown solver spec {args.solver!r}")
+    run = _solver(name, param, args.dim, parser, f"--solver {SOLVER_SPECS[name]}")
     columns = (
         "n seed weight_cover k_initial k_final weight_tour "
         "claimed_bound ratio_cover ratio_opt"

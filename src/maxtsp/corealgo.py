@@ -69,9 +69,6 @@ class GluingState:
     removed_log: List[tuple] = field(default_factory=list)
     removed_edges: set = field(default_factory=set)
 
-    def weight(self) -> float:
-        return float(sum(cycle_weight(self.inst, c) for c in self.cycles))
-
     @property
     def k(self) -> int:
         return len(self.cycles)
@@ -108,6 +105,19 @@ def open_cycle_at(cycle: Sequence[int], e: Edge) -> List[int]:
     raise ValueError(f"edge {e} is not an edge of the cycle")
 
 
+def splice(a: Sequence[int], b: Sequence[int], ea: Edge, eb: Edge, pattern: int) -> List[int]:
+    """Merge two disjoint cycles, removing ea and eb.
+
+    Pattern 0 adds edges {ea[0], eb[1]} and {ea[1], eb[0]}; pattern 1 adds
+    {ea[0], eb[0]} and {ea[1], eb[1]}.  The result runs ea[0]..ea[1] along
+    a, then through b, so the added edges sit at positions (-1, 0) and
+    (len(a) - 1, len(a)).
+    """
+    pa = open_cycle_at(a, ea)
+    pb = open_cycle_at(b, eb)
+    return pa + (pb if pattern == 0 else pb[::-1])
+
+
 def try_delta_gluing(
     inst: Instance,
     c1: Sequence[int],
@@ -120,8 +130,8 @@ def try_delta_gluing(
 
     Evaluates both reconnecting pairs, {a1,b2},{a2,b1} and {a1,a2},{b1,b2};
     if the heavier one retains at least (1 - delta) of the removed weight
-    the merged cycle is returned, otherwise None.  Ties between the two
-    pairs go to the first pattern.
+    the merged cycle (see :func:`splice`) is returned, otherwise None.
+    Ties between the two pairs go to the first pattern.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -130,20 +140,15 @@ def try_delta_gluing(
     d = inst.dist
     a1, b1 = e1
     a2, b2 = e2
-    p1 = open_cycle_at(c1, e1)
-    p2 = open_cycle_at(c2, e2)
     removed = float(d[a1, b1] + d[a2, b2])
     cross = float(d[a1, b2] + d[a2, b1])
     straight = float(d[a1, a2] + d[b1, b2])
+    # splice before the feasibility test, so a foreign edge always raises
+    merged = splice(c1, c2, e1, e2, 0 if cross >= straight else 1)
     eps = FEASIBILITY_EPS_FACTOR * inst.max_dist()
-    best = max(cross, straight)
-    if best < (1.0 - delta) * removed - eps:
+    if max(cross, straight) < (1.0 - delta) * removed - eps:
         return None
-    if cross >= straight:
-        # path1 runs a1..b1, then b1-a2, path2 runs a2..b2, then b2-a1
-        return p1 + p2
-    # path1 runs a1..b1, then b1-b2, reversed path2 runs b2..a2, then a2-a1
-    return p1 + p2[::-1]
+    return merged
 
 
 def make_gluing_state(
@@ -199,19 +204,14 @@ def glue_once(state: GluingState) -> bool:
             if merged is None:
                 continue
             ep, eq = sel[p], sel[q]
-            a1, b1 = ep
-            a2, b2 = eq
             d = state.inst.dist
-            # identify which reconnecting pair the merge used, for the log
-            cross = float(d[a1, b2] + d[a2, b1])
-            straight = float(d[a1, a2] + d[b1, b2])
-            if cross >= straight:
-                added = ((min(a1, b2), max(a1, b2)), (min(a2, b1), max(a2, b1)))
-                added_w = cross
-            else:
-                added = ((min(a1, a2), max(a1, a2)), (min(b1, b2), max(b1, b2)))
-                added_w = straight
-            state.removed_log.append(((ep, eq), added, float(d[a1, b1] + d[a2, b2]), added_w))
+            # the added edges are the merged cycle's junctions, see splice
+            m = len(state.cycles[p])
+            j1, j2 = (merged[0], merged[-1]), (merged[m - 1], merged[m])
+            added = tuple((min(u, v), max(u, v)) for u, v in (j1, j2))
+            added_w = float(d[j1] + d[j2])
+            removed_w = float(d[ep] + d[eq])
+            state.removed_log.append(((ep, eq), added, removed_w, added_w))
             state.removed_edges.update((ep, eq))
             survivors = [e for e in state.e0_per_cycle[p] if e != ep] + [
                 e for e in state.e0_per_cycle[q] if e != eq
@@ -278,11 +278,7 @@ def algorithm_A(inst: Instance, delta: float) -> Tuple[Tour, Certificate]:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     cover = max_weight_cycle_cover(inst)
-    e0 = select_E0(inst, cover)
-    state = make_gluing_state(inst, cover, e0, delta)
-    while glue_once(state):
-        pass
-    glued = CycleCover.from_cycles(inst, state.cycles)
+    glued = gluing_loop(inst, cover, select_E0(inst, cover), delta)
     tour = serdyukov_combine(inst, glued)
     bound = 1.0 - (2.0 / 3.0) * delta - glued.k / inst.n
     cert = Certificate(

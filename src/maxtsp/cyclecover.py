@@ -420,16 +420,28 @@ def _partitions_into_cycles(vertices: Tuple[int, ...]):
                 yield [block] + tail
 
 
-def _best_cycle_on(inst: Instance, block: Tuple[int, ...]) -> Tuple[float, Cycle]:
-    base, rest = block[0], block[1:]
+def best_cycle_on(inst: Instance, block: Sequence[int]) -> Tuple[float, Cycle]:
+    """Heaviest cycle through the block's vertices, by enumeration.
+
+    The cycle starts at block[0] and runs through each permutation of the
+    rest, one direction per cycle, in lexicographic order; ties keep the
+    first.  Its weight is summed in the order :func:`cycle_weight` uses,
+    so the two agree bit for bit.
+    """
+    d = inst.dist.tolist()
+    base, rest = block[0], tuple(block[1:])
     best_w, best = -np.inf, None
     for perm in permutations(rest):
         if perm[0] > perm[-1]:
             continue
-        cyc = (base,) + perm
-        w = cycle_weight(inst, cyc)
+        w = d[base][perm[0]]
+        prev = perm[0]
+        for v in perm[1:]:
+            w += d[prev][v]
+            prev = v
+        w += d[prev][base]
         if w > best_w:
-            best_w, best = w, cyc
+            best_w, best = w, (base,) + perm
     return best_w, best
 
 
@@ -445,7 +457,7 @@ def cycle_cover_brute_force(inst: Instance) -> CycleCover:
         cycles = []
         for block in blocks:
             if block not in best_cycle_cache:
-                best_cycle_cache[block] = _best_cycle_on(inst, block)
+                best_cycle_cache[block] = best_cycle_on(inst, block)
             w, cyc = best_cycle_cache[block]
             total += w
             cycles.append(cyc)

@@ -62,32 +62,16 @@ def eptas(inst: Instance, epsilon: float, dim: float) -> Tuple[Tour, Certificate
     the DP cap, still runs the pipeline but returns certified = false.
     """
     branch, delta, n_threshold = eptas_plan(inst.n, epsilon, dim)
-    if branch == "five-sixths":
-        tour, cert = kostochka_serdyukov_56(inst)
-        cert.epsilon = float(epsilon)
-        cert.dim = float(dim)
-        return tour, cert
-    if branch == "exact-dp":
-        if inst.n <= HELD_KARP_CAP:
-            tour, cert = exact_dp(inst)
-            cert.epsilon = float(epsilon)
-            cert.dim = float(dim)
-            cert.n_threshold = n_threshold
-            return tour, cert
+    stamp = {"epsilon": float(epsilon), "dim": float(dim)}
+    if branch != "five-sixths":
+        stamp["n_threshold"] = n_threshold
+    if branch == "algorithm-A":
+        stamp["claimed_bound"] = 1.0 - epsilon
+    elif branch == "exact-dp" and inst.n > HELD_KARP_CAP:
         # prescribed exact, too large for the DP: run the pipeline and
         # say so; the claimed bound stays the pipeline's own
-        tour, cert = algorithm_A(inst, delta)
-        cert.epsilon = float(epsilon)
-        cert.dim = float(dim)
-        cert.n_threshold = n_threshold
-        cert.certified = False
-        return tour, cert
-    tour, cert = algorithm_A(inst, delta)
-    cert.epsilon = float(epsilon)
-    cert.dim = float(dim)
-    cert.n_threshold = n_threshold
-    cert.claimed_bound = 1.0 - epsilon
-    return tour, cert
+        branch, stamp["certified"] = "algorithm-A", False
+    return _run_branch(inst, branch, delta, stamp)
 
 
 def asymptotic_plan(n: int, dim: float) -> Tuple[str, float, float]:
@@ -111,14 +95,23 @@ def asymptotic(inst: Instance, dim: float) -> Tuple[Tour, Certificate]:
     condition keeps that delta inside (0, 1).
     """
     branch, delta, err = asymptotic_plan(inst.n, dim)
-    q = 2.0 * dim
+    stamp = {"dim": float(dim), "n_threshold": 2.0 ** (2.0 * dim + 1.0)}
+    if branch == "algorithm-A":
+        stamp["claimed_bound"] = 1.0 - err
+    return _run_branch(inst, branch, delta, stamp)
+
+
+def _run_branch(
+    inst: Instance, branch: str, delta: float, stamp: dict
+) -> Tuple[Tour, Certificate]:
+    """Run one branch's entry point, then overwrite the certificate
+    fields the scheme owns (stamp: field name -> value)."""
     if branch == "five-sixths":
         tour, cert = kostochka_serdyukov_56(inst)
-        cert.dim = float(dim)
-        cert.n_threshold = 2.0 ** (q + 1.0)
-        return tour, cert
-    tour, cert = algorithm_A(inst, delta)
-    cert.dim = float(dim)
-    cert.n_threshold = 2.0 ** (q + 1.0)
-    cert.claimed_bound = 1.0 - err
+    elif branch == "exact-dp":
+        tour, cert = exact_dp(inst)
+    else:
+        tour, cert = algorithm_A(inst, delta)
+    for key, value in stamp.items():
+        setattr(cert, key, value)
     return tour, cert

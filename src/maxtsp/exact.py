@@ -6,7 +6,9 @@ since vertex 0 starts every path, and fills them one subset-size layer
 at a time: (n-1)^2 numpy steps for O(2^n * n^2) work in all, about a
 second at n = 20.  exact_dp wraps it in the (Tour, Certificate) shape of
 the other entry points.  brute_force_tour enumerates (n-1)!/2 tours and
-exists to cross-check the DP.  minmax_transform flips the problem into its
+exists to cross-check the DP; its enumerator is
+:func:`maxtsp.cyclecover.best_cycle_on`, the one the brute-force cover
+runs on each block.  minmax_transform flips the problem into its
 minimization complement for differential testing against minimizing
 solvers; the transformed matrix is generally not a metric and is exempt
 from metric validation.
@@ -14,14 +16,13 @@ from metric validation.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import List, Tuple
 
 import numpy as np
 
 from .certificate import Certificate
 from .corealgo import Tour
-from .cyclecover import cycle_weight
+from .cyclecover import best_cycle_on
 from .metricspace import Instance
 
 HELD_KARP_CAP = 20
@@ -91,20 +92,7 @@ def brute_force_tour(inst: Instance) -> Tour:
     n = inst.n
     if n > BRUTE_FORCE_TOUR_CAP:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_TOUR_CAP} vertices, got {n}")
-    d = inst.dist.tolist()
-    best_w = -np.inf
-    best = None
-    for perm in permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue
-        w = d[0][perm[0]] + d[perm[-1]][0]
-        prev = perm[0]
-        for v in perm[1:]:
-            w += d[prev][v]
-            prev = v
-        if w > best_w:
-            best_w, best = w, (0,) + perm
-    return Tour.from_order(inst, best)
+    return Tour.from_order(inst, best_cycle_on(inst, range(n))[1])
 
 
 def minmax_transform(inst: Instance) -> Instance:
@@ -121,8 +109,3 @@ def minmax_transform(inst: Instance) -> Instance:
     out = w_max - d
     np.fill_diagonal(out, 0.0)
     return Instance(out)
-
-
-def tour_weight_on(inst: Instance, order) -> float:
-    """Weight of an arbitrary vertex order read as a closed tour."""
-    return cycle_weight(inst, list(order))

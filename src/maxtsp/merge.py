@@ -4,6 +4,8 @@ Two constructions live here.  :func:`serdyukov_combine` repeatedly merges
 the lowest-density cycle into a partner via the best exhaustive two-edge
 patch; each merge loses at most the current total weight divided by n,
 which compounds to the (1 - 1/n)^(k-1) floor the certificates rely on.
+The merge itself is :func:`maxtsp.corealgo.splice`, the step the gluing
+loop uses too.
 :func:`kostochka_serdyukov_56` is the constant-factor fallback: drop the
 minimum edge of each cycle of a maximum cover, then close the resulting
 paths into a tour with junction edges worth at least half the dropped
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .certificate import Certificate
-from .corealgo import Edge, Tour, edge_weight, open_cycle_at
+from .corealgo import Edge, Tour, edge_weight, open_cycle_at, splice
 from .cyclecover import CycleCover, cycle_edges, cycle_weight, max_weight_cycle_cover
 from .metricspace import Instance
 
@@ -43,17 +45,6 @@ def _best_patch(inst: Instance, a: Sequence[int], b: Sequence[int]):
                 if best is None or gain > best[0]:
                     best = (gain, ea, eb, pattern)
     return best
-
-
-def splice(a: Sequence[int], b: Sequence[int], ea: Edge, eb: Edge, pattern: int) -> List[int]:
-    """Merge two disjoint cycles, removing ea and eb.
-
-    Pattern 0 adds edges {ea[0], eb[1]} and {ea[1], eb[0]}; pattern 1 adds
-    {ea[0], eb[0]} and {ea[1], eb[1]}.
-    """
-    pa = open_cycle_at(a, ea)
-    pb = open_cycle_at(b, eb)
-    return pa + (pb if pattern == 0 else pb[::-1])
 
 
 def serdyukov_combine(inst: Instance, cover: CycleCover) -> Tour:
@@ -89,10 +80,6 @@ def serdyukov_combine(inst: Instance, cover: CycleCover) -> Tour:
 
 def _min_edge(inst: Instance, cycle: Sequence[int]) -> Edge:
     return min(cycle_edges(cycle), key=lambda e: (edge_weight(inst, e), e))
-
-
-def _closed_tour(inst: Instance, seq: Sequence[int]) -> Tour:
-    return Tour.from_order(inst, seq)
 
 
 def _best_orientation_tour(inst: Instance, paths: List[List[int]]) -> Tour:
@@ -140,7 +127,7 @@ def _best_orientation_tour(inst: Instance, paths: List[List[int]]) -> Tour:
     order: List[int] = []
     for path, o in zip(paths, best_assign):
         order.extend(path if o == 0 else path[::-1])
-    return _closed_tour(inst, order)
+    return Tour.from_order(inst, order)
 
 
 def _greedy_junction_tour(inst: Instance, paths: List[List[int]]) -> Tour:
@@ -160,7 +147,7 @@ def _greedy_junction_tour(inst: Instance, paths: List[List[int]]) -> Tour:
             seq = seq + oriented
         else:
             seq = oriented[::-1] + seq
-    return _closed_tour(inst, seq)
+    return Tour.from_order(inst, seq)
 
 
 def kostochka_serdyukov_56(inst: Instance) -> Tuple[Tour, Certificate]:

@@ -133,7 +133,9 @@ class GeneratorSpec:
 class MetricReport:
     """Result of :func:`validate_metric`.
 
-    symmetry_violations lists (i, j, |d_ij - d_ji|) pairs above tolerance.
+    symmetry_violations lists the first 10 (i, j, |d_ij - d_ji|) pairs
+    above tolerance in row-major order; symmetry_violation_count counts
+    them all.
     max_triangle_violation is max over triples of d[i,j] - d[i,k] - d[k,j];
     a value <= tol means the triangle inequality holds within tolerance.
     worst_triple is the (i, j, k) attaining that maximum.
@@ -142,6 +144,7 @@ class MetricReport:
     n: int
     tol: float
     symmetry_violations: list = field(default_factory=list)
+    symmetry_violation_count: int = 0
     max_triangle_violation: float = 0.0
     worst_triple: Optional[tuple] = None
     passed: bool = True
@@ -149,10 +152,10 @@ class MetricReport:
     def summary(self) -> str:
         lines = [f"metric check: n={self.n} tol={self.tol!r}"]
         if self.symmetry_violations:
-            for i, j, gap in self.symmetry_violations[:10]:
+            for i, j, gap in self.symmetry_violations:
                 lines.append(f"  symmetry violation at ({i}, {j}): |d_ij - d_ji| = {gap!r}")
-            if len(self.symmetry_violations) > 10:
-                lines.append(f"  ... {len(self.symmetry_violations) - 10} more")
+            if self.symmetry_violation_count > 10:
+                lines.append(f"  ... {self.symmetry_violation_count - 10} more")
         else:
             lines.append("  symmetry: ok")
         if self.worst_triple is not None:
@@ -236,7 +239,7 @@ def _first_worst_triple(d: np.ndarray, worst: float, rows: np.ndarray):
 
 
 def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport:
-    """Check symmetry and the triangle inequality, reporting every violation.
+    """Check symmetry and the triangle inequality within tolerance.
 
     tol is an absolute slack; when omitted it defaults to 1e-9 times the
     largest distance (0 on an all-zero matrix).  A NaN or negative tol
@@ -259,8 +262,14 @@ def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport
 
     asym = d - d.T
     np.abs(asym, out=asym)
-    for i, j in np.argwhere(np.triu(asym > tol, k=1)):
+    bad = np.triu(asym > tol, k=1)
+    report.symmetry_violation_count = int(np.count_nonzero(bad))
+    # the first 10 pairs lie in the first 10 rows holding any
+    bad_rows = np.flatnonzero(bad.any(axis=1))[:10]
+    for r, j in np.argwhere(bad[bad_rows])[:10]:
+        i = bad_rows[r]
         report.symmetry_violations.append((int(i), int(j), float(asym[i, j])))
+    del bad
     symmetric = not asym.any()
     del asym
 
@@ -272,7 +281,7 @@ def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport
     worst, triple = _first_worst_triple(d, worst, rows)
     report.max_triangle_violation = worst
     report.worst_triple = triple
-    report.passed = not report.symmetry_violations and worst <= tol
+    report.passed = not report.symmetry_violation_count and worst <= tol
     return report
 
 

@@ -187,6 +187,13 @@ class TestSolve:
             main(["solve", path, "--eptas", "0.1"])
         assert exc.value.code == 2
 
+    def test_asymptotic_requires_dim(self, tmp_path, capsys):
+        path = write_instance(tmp_path, equilateral(5))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--asymptotic"])
+        assert exc.value.code == 2
+        assert "error: --asymptotic requires --dim" in capsys.readouterr().err
+
     def test_solver_flags_are_exclusive(self, tmp_path, capsys):
         path = write_instance(tmp_path, equilateral(5))
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +272,26 @@ class TestBench:
                  "--solver", "anneal"]
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "spec, flag", (("eptas:0.1", "eptas:<eps>"), ("asymptotic", "asymptotic"))
+    )
+    def test_solver_requires_dim(self, capsys, spec, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "line", "--n-list", "6", "--seeds", "1",
+                  "--solver", spec])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --solver {flag} requires --dim" in captured.err
+
+    def test_empty_solver_parameter(self, capsys):
+        rc = main(["bench", "--family", "line", "--n-list", "6", "--seeds", "1",
+                   "--solver", "algoA:"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: could not convert string to float")
 
     def test_bad_n_list(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,9 +5,11 @@ import pytest
 
 from maxtsp import (
     CycleCover,
+    GeneratorSpec,
     Instance,
     algorithm_A,
     current_selection,
+    generate,
     glue_once,
     gluing_loop,
     make_gluing_state,
@@ -179,6 +181,40 @@ class TestGluingLoop:
         eps = 1e-12 * inst.max_dist()
         for _, _, removed_w, added_w in state.removed_log:
             assert added_w >= (1.0 - 0.4) * removed_w - eps
+
+
+class TestGluingLog:
+    @pytest.mark.parametrize("family", ("line", "euclidean", "random-metric"))
+    def test_each_entry_reads_the_merged_cycle(self, family):
+        # the log is read off the merged cycle: its added pair must be
+        # two edges of that cycle, weighed exactly, and its removed pair
+        # the two selected edges of the merged cycles
+        merges = 0
+        for seed in range(4):
+            inst = generate(GeneratorSpec(family=family, n=30, seed=seed, d=2))
+            cover = random_cover(inst, seed, k=10)
+            for delta in (0.2, 0.6, 0.9):
+                state = make_gluing_state(inst, cover, select_E0(inst, cover), delta)
+                while True:
+                    before = [list(c) for c in state.cycles]
+                    sel = current_selection(state)
+                    if not glue_once(state):
+                        break
+                    merges += 1
+                    removed, added, removed_w, added_w = state.removed_log[-1]
+                    p, q = (
+                        next(i for i, c in enumerate(before) if e[0] in c) for e in removed
+                    )
+                    assert p < q and removed == (sel[p], sel[q])
+                    merged = state.cycles[p]
+                    assert sorted(merged) == sorted(before[p] + before[q])
+                    edges = set(cycle_edges(merged))
+                    assert set(added) <= edges and len(set(added)) == 2
+                    assert not set(removed) & edges
+                    d = inst.dist
+                    assert added_w == float(d[added[0]] + d[added[1]])
+                    assert removed_w == float(d[removed[0]] + d[removed[1]])
+        assert merges > 0
 
 
 class TestRTau:

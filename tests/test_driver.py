@@ -7,13 +7,22 @@ import pytest
 
 from maxtsp import (
     Certificate,
+    GeneratorSpec,
     Instance,
+    algorithm_A,
     asymptotic,
     asymptotic_plan,
     brute_force_tour,
     eptas,
     eptas_plan,
+    exact_dp,
+    generate,
+    gluing_loop,
     held_karp_max,
+    kostochka_serdyukov_56,
+    max_weight_cycle_cover,
+    select_E0,
+    serdyukov_combine,
 )
 from maxtsp.driver import FALLBACK_EPSILON
 
@@ -161,6 +170,65 @@ class TestAsymptotic:
         _, cert = asymptotic(inst, 1.0)
         assert cert.delta == pytest.approx(2.0 / 12.0 ** (1.0 / 3.0))
         assert cert.delta == pytest.approx(0.8735804647362989)
+
+
+# (scheme, n, epsilon, dim, branch run, certified): every branch of both
+# schemes, including eptas's exact prescription above the DP cap
+SCHEME_BRANCHES = (
+    ("eptas", 8, 0.2, 1.0, "five-sixths", True),
+    ("eptas", 8, 0.1, 1.0, "exact-dp", True),
+    ("eptas", 24, 0.1, 0.0, "algorithm-A", True),
+    ("eptas", 24, 0.1, 1.0, "algorithm-A", False),
+    ("asymptotic", 8, None, 1.0, "five-sixths", True),
+    ("asymptotic", 24, None, 1.0, "algorithm-A", True),
+)
+
+
+@pytest.mark.parametrize("scheme, n, epsilon, dim, branch, certified", SCHEME_BRANCHES)
+def test_scheme_certificate_overwrites_only_its_own_fields(
+    scheme, n, epsilon, dim, branch, certified
+):
+    inst = random_metric(n, n)
+    if scheme == "eptas":
+        tour, cert = eptas(inst, epsilon, dim)
+        _, delta, n_threshold = eptas_plan(n, epsilon, dim)
+        own = {"epsilon": epsilon, "dim": dim}
+        if branch == "five-sixths":
+            assert cert.n_threshold is None
+        else:
+            own["n_threshold"] = n_threshold
+        if branch == "algorithm-A" and certified:
+            own["claimed_bound"] = 1.0 - epsilon
+    else:
+        tour, cert = asymptotic(inst, dim)
+        _, delta, err = asymptotic_plan(n, dim)
+        own = {"dim": dim, "n_threshold": 2.0 ** (2.0 * dim + 1.0)}
+        if branch == "algorithm-A":
+            own["claimed_bound"] = 1.0 - err
+    if not certified:
+        own["certified"] = False
+    entry = {
+        "five-sixths": kostochka_serdyukov_56,
+        "exact-dp": exact_dp,
+        "algorithm-A": lambda inst: algorithm_A(inst, delta),
+    }[branch]
+    expected_tour, expected = entry(inst)
+    assert cert.branch == branch and cert.certified is certified
+    assert tour == expected_tour
+    assert cert.to_dict() == {**expected.to_dict(), **own}
+
+
+def test_algorithm_a_is_cover_gluing_loop_and_combine():
+    # maximum covers of 3 to 8 cycles, which delta = 0.2 glues into one or two
+    for family, seed in (("euclidean", 1), ("euclidean", 3), ("random-metric", 1)):
+        inst = generate(GeneratorSpec(family=family, n=40, seed=seed, d=2))
+        delta = 0.2
+        cover = max_weight_cycle_cover(inst)
+        glued = gluing_loop(inst, cover, select_E0(inst, cover), delta)
+        tour, cert = algorithm_A(inst, delta)
+        assert tour == serdyukov_combine(inst, glued)
+        assert (cert.k_initial, cert.k_after_gluing) == (cover.k, glued.k)
+        assert cert.weight_cover == cover.weight
 
 
 class TestCertificate:

@@ -17,8 +17,8 @@ from maxtsp import (
     held_karp_max,
     kostochka_serdyukov_56,
     minmax_transform,
-    tour_weight_on,
 )
+from maxtsp.cyclecover import cycle_weight
 from maxtsp.exact import BRUTE_FORCE_TOUR_CAP, HELD_KARP_CAP
 from maxtsp.metricspace import pairwise_distances
 
@@ -63,7 +63,7 @@ TIE_HEAVY = {
 def assert_exact_tour(inst, tour):
     assert sorted(tour.order) == list(range(inst.n))
     assert tour.order[0] == 0
-    assert tour_weight_on(inst, tour.order) == pytest.approx(tour.weight, rel=1e-12, abs=0)
+    assert cycle_weight(inst, tour.order) == pytest.approx(tour.weight, rel=1e-12, abs=0)
 
 
 class TestHeldKarp:
@@ -88,7 +88,7 @@ class TestHeldKarp:
             # the two sum distances in different orders, so the last bit
             # of the float can differ
             assert dp.weight == pytest.approx(bf.weight, rel=1e-12)
-            assert tour_weight_on(inst, dp.order) == pytest.approx(dp.weight, rel=1e-12)
+            assert cycle_weight(inst, dp.order) == pytest.approx(dp.weight, rel=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", range(3, BRUTE_FORCE_TOUR_CAP + 1))
@@ -184,7 +184,7 @@ class TestMinmaxTransform:
         w_max = inst.max_dist()
         rng = np.random.default_rng(seed)
         order = list(rng.permutation(6))
-        total = tour_weight_on(inst, order) + tour_weight_on(flipped, order)
+        total = cycle_weight(inst, order) + cycle_weight(flipped, order)
         assert total == pytest.approx(6 * w_max)
 
     def test_argmax_becomes_argmin(self):
@@ -194,9 +194,9 @@ class TestMinmaxTransform:
             best = brute_force_tour(inst)
             # a tour maximizing the original must minimize the flipped weights
             flipped_weights = [
-                tour_weight_on(flipped, perm) for perm in _all_tours(7)
+                cycle_weight(flipped, perm) for perm in _all_tours(7)
             ]
-            assert tour_weight_on(flipped, best.order) == pytest.approx(
+            assert cycle_weight(flipped, best.order) == pytest.approx(
                 min(flipped_weights), rel=1e-9
             )
 

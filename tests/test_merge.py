@@ -11,8 +11,8 @@ from maxtsp import (
     kostochka_serdyukov_56,
     max_weight_cycle_cover,
     serdyukov_combine,
-    tour_weight_on,
 )
+from maxtsp.cyclecover import cycle_weight
 
 from conftest import random_cover, random_metric
 
@@ -26,7 +26,7 @@ def best_two_cycle_merge(inst, c1, c2):
     best = -1.0
     for r1 in _rotations(c1):
         for r2 in _rotations(c2):
-            best = max(best, tour_weight_on(inst, r1 + r2))
+            best = max(best, cycle_weight(inst, r1 + r2))
     return best
 
 

@@ -17,7 +17,7 @@ from maxtsp import (
     load_instance,
     validate_metric,
 )
-from maxtsp.metricspace import parse_instance, pairwise_distances
+from maxtsp.metricspace import metric_violation, parse_instance, pairwise_distances
 
 from conftest import random_metric
 
@@ -47,6 +47,12 @@ def loop_triangle_check(d):
         if gap[i, j] > worst:
             worst, triple = float(gap[i, j]), (i, j, k)
     return worst, triple
+
+
+def loop_symmetry_pairs(d, tol):
+    """Every (i, j, |d_ij - d_ji|) above tol with i < j, in row-major order."""
+    asym = np.abs(d - d.T)
+    return [(int(i), int(j), float(asym[i, j])) for i, j in np.argwhere(np.triu(asym > tol, k=1))]
 
 
 def assert_matches_loop(inst, tol=None):
@@ -212,6 +218,51 @@ class TestValidateMetric:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * n * n * 8
+
+    def test_asymmetric_memory_peak_stays_near_one_matrix(self):
+        # every pair of a uniform matrix is asymmetric; the report keeps
+        # ten of them and a count, not a list of all 180k
+        n = 600
+        d = np.random.default_rng(5).uniform(1.0, 2.0, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        inst = Instance(d)
+        tracemalloc.start()
+        try:
+            rep = validate_metric(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.symmetry_violation_count == n * (n - 1) // 2
+        assert peak <= 3.5 * n * n * 8
+
+    @pytest.mark.parametrize("pairs", [0, 1, 9, 10, 11, 500])
+    def test_symmetry_report_keeps_the_first_ten_and_a_count(self, pairs):
+        n = 40
+        rng = np.random.default_rng(pairs)
+        d = random_metric(n, pairs).dist.copy()
+        upper = np.transpose(np.triu_indices(n, 1))
+        for i, j in upper[rng.choice(len(upper), size=pairs, replace=False)]:
+            # half the pairs skewed below the diagonal
+            if rng.integers(2):
+                i, j = j, i
+            d[i, j] += rng.uniform(0.01, 0.1)
+        rep = validate_metric(Instance(d))
+        every = loop_symmetry_pairs(d, rep.tol)
+        assert rep.symmetry_violation_count == len(every) == pairs
+        assert rep.symmetry_violations == every[:10]
+        lines = rep.summary().splitlines()
+        listed = [ln for ln in lines if "symmetry violation at" in ln]
+        assert listed == [
+            f"  symmetry violation at ({i}, {j}): |d_ij - d_ji| = {gap!r}"
+            for i, j, gap in every[:10]
+        ]
+        more = [ln for ln in lines if ln.endswith(" more")]
+        assert more == ([f"  ... {pairs - 10} more"] if pairs > 10 else [])
+        if pairs:
+            i, j, gap = every[0]
+            assert metric_violation(rep) == (
+                f"symmetry violation at pair ({i}, {j}), magnitude {gap!r}"
+            )
 
     def test_small_matrix_buffers_fit_the_matrix(self):
         # every solve request validates its instance, at n of a few dozen;
