@@ -65,7 +65,6 @@ class GluingState:
     delta: float
     cycles: List[List[int]]
     e0_per_cycle: List[List[Edge]]
-    initial_weight: float
     removed_log: List[tuple] = field(default_factory=list)
     removed_edges: set = field(default_factory=set)
 
@@ -171,7 +170,6 @@ def make_gluing_state(
         delta=float(delta),
         cycles=[list(c) for c in cover.cycles],
         e0_per_cycle=per_cycle,
-        initial_weight=cover.weight,
     )
 
 

@@ -230,10 +230,11 @@ def two_matching_lp(dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Fractional 2-matching LP as a transportation problem; returns (z, y).
 
     z is a maximum-weight 0/1 plan on the bipartite double cover (zero
-    diagonal, every row and column sum 2), found by successive shortest
-    paths with potentials: 2n augmentations, each a dense Dijkstra in
-    O(n^2), so O(n^3) overall.  y holds vertex duals of the symmetric LP,
-    derived from the final potentials.
+    diagonal, every row and column sum 2), found by shortest augmenting
+    paths (Jonker & Volgenant 1987): 2n augmentations, each a dense
+    Dijkstra in O(n^2) from the rows with supply left that stops at the
+    first column with demand left, so O(n^3) overall.  y holds vertex
+    duals of the symmetric LP, derived from the final potentials.
     """
     n = dist.shape[0]
     top = float(dist.max())
@@ -244,33 +245,30 @@ def two_matching_lp(dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     z = np.zeros((n, n), dtype=bool)
     supply = np.full(n, 2)
     demand = np.full(n, 2)
-    # Potentials of the left copies, the right copies and the sink keep
-    # every residual arc's reduced cost nonnegative: the arc u -> v between
-    # copies has reduced cost cost[u, v] + pot_l[u] - pot_r[v], the source's
-    # arc into u costs -pot_l[u] (zero while u has supply left), the arc
-    # from v into the sink pot_r[v] - pot_t.  The source keeps potential 0.
-    pot_t = 0.0
+    # Potentials of the left and right copies keep every residual arc's
+    # reduced cost nonnegative: the free arc u -> v costs red[u, v] =
+    # cost[u, v] + pot_l[u] - pot_r[v], the reverse of a used one
+    # -red[u, v].  Supply equals demand, so no source or sink is needed.
     pot_l = np.zeros(n)
     pot_r = cost.min(axis=0)
     for _ in range(2 * n):
         red = cost + pot_l[:, None] - pot_r[None, :]
         # Clamping rounding errors at zero keeps the search a true Dijkstra.
         forward = np.where(z, np.inf, np.maximum(red, 0.0))
-        dist_l = np.where(supply > 0, -pot_l, np.inf)
+        dist_l = np.where(supply > 0, 0.0, np.inf)
         via_r = np.full(n, -1)
         through = dist_l[:, None] + forward
         via_l = through.argmin(axis=0)
         dist_r = through[via_l, np.arange(n)]
         open_r = np.ones(n, dtype=bool)
-        reach, target = np.inf, -1
         while True:
             pending = np.where(open_r, dist_r, np.inf)
             v = int(pending.argmin())
-            if not pending[v] < reach:
+            if not pending[v] < np.inf:
+                raise RuntimeError("transportation problem is infeasible")
+            if demand[v] > 0:
                 break
             open_r[v] = False
-            if demand[v] > 0 and dist_r[v] + pot_r[v] - pot_t < reach:
-                reach, target = dist_r[v] + pot_r[v] - pot_t, v
             for u in np.flatnonzero(z[:, v]):
                 label = dist_r[v] + max(0.0, -red[u, v])
                 if label >= dist_l[u]:
@@ -281,13 +279,11 @@ def two_matching_lp(dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                 better = open_r & (row < dist_r)
                 dist_r[better] = row[better]
                 via_l[better] = u
-        if target < 0:
-            raise RuntimeError("transportation problem is infeasible")
+        # Labels capped at dist_r[v] keep every reduced cost nonnegative.
+        reach = dist_r[v]
         pot_l += np.minimum(dist_l, reach)
         pot_r += np.minimum(dist_r, reach)
-        pot_t += reach
-        demand[target] -= 1
-        v = target
+        demand[v] -= 1
         while True:
             u = via_l[v]
             z[u, v] = True

@@ -359,13 +359,13 @@ def estimate_doubling(inst: Instance, levels: int = 3) -> float:
     return log2 of the largest cover seen.  Diagnostic only; no bound in
     this package is certified from this value.
     """
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     d = inst.dist
     n = inst.n
     r_max = float(d.max())
     if r_max == 0.0:
         return 0.0
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
     centers = np.unique(np.linspace(0, n - 1, num=min(n, 64)).astype(int))
     worst = 1
     for c in centers:

@@ -273,16 +273,42 @@ class TestMaxWeightCycleCover:
             assert cover.weight >= tour.weight - 1e-9 * cover.weight
 
 
+def assert_optimal_plan(dist, label=""):
+    """The LP plan is a double cover and its duals close the gap; returns its weight."""
+    z, y = two_matching_lp(dist)
+    assert not z.diagonal().any(), label
+    assert (z.sum(axis=0) == 2).all() and (z.sum(axis=1) == 2).all(), label
+    upper, _ = dual_bound(dist, y)
+    lp_value = float((dist * z).sum()) / 2.0
+    assert upper == pytest.approx(lp_value, rel=1e-12), label
+    return lp_value
+
+
 class TestTwoMatchingLP:
     def test_plan_is_a_double_cover_and_its_duals_close_the_gap(self):
         for seed in range(10):
-            inst = random_metric(6 + seed, seed)
-            z, y = two_matching_lp(inst.dist)
-            assert not z.diagonal().any()
-            assert (z.sum(axis=0) == 2).all() and (z.sum(axis=1) == 2).all()
-            upper, _ = dual_bound(inst.dist, y)
-            lp_value = float((inst.dist * z).sum()) / 2.0
-            assert upper == pytest.approx(lp_value, rel=1e-12)
+            assert_optimal_plan(random_metric(6 + seed, seed).dist, seed)
+        for n in range(3, 10):
+            for kind, inst in degenerate_instances(n, seed=n):
+                assert_optimal_plan(inst.dist, (n, kind))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 14),
+        seed=st.integers(0, 10_000),
+        scale=st.sampled_from([1.0, 1e-12, 1e12]),
+    )
+    def test_relabelling_and_scaling_keep_the_plan_weight(self, n, seed, scale):
+        dist = random_metric(n, seed).dist
+        perm = np.random.default_rng(seed).permutation(n)
+        moved = dist[np.ix_(perm, perm)] * scale
+        base = assert_optimal_plan(dist)
+        assert assert_optimal_plan(moved) / scale == pytest.approx(base, rel=1e-12)
+
+    def test_infeasible_problem_raises(self):
+        # n = 2 leaves each row a single arc, so no plan has row sums 2
+        with pytest.raises(RuntimeError, match="infeasible"):
+            two_matching_lp(np.zeros((2, 2)))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -317,6 +317,11 @@ class TestEstimateDoubling:
     def test_all_zero_distances(self):
         assert estimate_doubling(Instance(np.zeros((5, 5)))) == 0.0
 
+    @pytest.mark.parametrize("dist", [np.zeros((5, 5)), np.ones((5, 5)) - np.eye(5)])
+    def test_levels_below_one_raise(self, dist):
+        with pytest.raises(ValueError, match="levels"):
+            estimate_doubling(Instance(dist), levels=0)
+
     def test_equilateral_is_log_n(self):
         # the full-radius ball holds everything and every half-radius ball
         # only its own center
