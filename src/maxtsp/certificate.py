@@ -15,23 +15,10 @@ from typing import Optional
 
 BRANCHES = ("five-sixths", "exact-dp", "algorithm-A")
 
-# Fixed key order for the text block and the json dict.
-_FIELD_ORDER = (
-    "branch",
-    "certified",
-    "epsilon",
-    "delta",
-    "dim",
-    "n_threshold",
-    "k_initial",
-    "k_after_gluing",
-    "weight_cover",
-    "weight_tour",
-    "claimed_bound",
-)
 
-
-@dataclass
+# Keyword-only, so the fields can sit in the fixed key order of the text
+# block and the json dict.
+@dataclass(kw_only=True)
 class Certificate:
     """Record of a solver run.
 
@@ -43,8 +30,6 @@ class Certificate:
     """
 
     branch: str
-    weight_tour: float
-    claimed_bound: float
     certified: bool
     epsilon: Optional[float] = None
     delta: Optional[float] = None
@@ -53,6 +38,8 @@ class Certificate:
     k_initial: Optional[int] = None
     k_after_gluing: Optional[int] = None
     weight_cover: Optional[float] = None
+    weight_tour: float
+    claimed_bound: float
 
     def __post_init__(self):
         if self.branch not in BRANCHES:
@@ -70,8 +57,7 @@ class Certificate:
                 )
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {key: data[key] for key in _FIELD_ORDER}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_text(self) -> str:
         lines = []

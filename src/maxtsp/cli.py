@@ -14,7 +14,7 @@ from .merge import kostochka_serdyukov_56
 from .metricspace import (
     FAMILIES,
     GeneratorSpec,
-    Instance,
+    check_dim,
     check_tol,
     dump_instance,
     generate,
@@ -77,14 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_instance(path: str, dim: Optional[float]) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        inst = load_instance(fh.read())
-    if dim is not None:
-        inst = inst.with_dim_hint(dim)
-    return inst
-
-
 def _solver(name: str, param, dim: Optional[float], parser, flag: str):
     """The function inst -> (Tour, Certificate) for one solver name.
 
@@ -108,7 +100,8 @@ def _solver(name: str, param, dim: Optional[float], parser, flag: str):
 
 
 def _cmd_solve(args, parser) -> int:
-    inst = _read_instance(args.file, args.dim)
+    with open(args.file, "r", encoding="utf-8") as fh:
+        inst = load_instance(fh.read()).with_dim_hint(args.dim)
     for name in SOLVER_SPECS:
         param = getattr(args, name.replace("-", "_"))
         if param is not None and param is not False:
@@ -179,6 +172,8 @@ def _cmd_bench(args, parser) -> int:
     if name not in SOLVER_SPECS:
         parser.error(f"unknown solver spec {args.solver!r}")
     run = _solver(name, param, args.dim, parser, f"--solver {SOLVER_SPECS[name]}")
+    if args.dim is not None:
+        check_dim(args.dim)
     columns = (
         "n seed weight_cover k_initial k_final weight_tour "
         "claimed_bound ratio_cover ratio_opt"

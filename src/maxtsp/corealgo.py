@@ -21,33 +21,19 @@ from typing import List, Optional, Sequence, Tuple
 from .certificate import Certificate
 from .cyclecover import (
     CycleCover,
-    canonical_cycle,
+    Edge,
+    Tour,
     cycle_edges,
-    cycle_weight,
+    edge_weight,
     max_weight_cycle_cover,
+    splice,
 )
+from .merge import serdyukov_combine
 from .metricspace import Instance
-
-Edge = Tuple[int, int]
 
 # Slack for the gluing feasibility comparison, scaled by the largest
 # distance; keeps a run from flapping on float-boundary ties.
 FEASIBILITY_EPS_FACTOR = 1e-12
-
-
-@dataclass(frozen=True)
-class Tour:
-    """A Hamiltonian cycle: canonical cyclic order plus total weight."""
-
-    order: Tuple[int, ...]
-    weight: float
-
-    @staticmethod
-    def from_order(inst: Instance, order: Sequence[int]) -> "Tour":
-        order = tuple(order)
-        if sorted(order) != list(range(inst.n)):
-            raise ValueError("tour order is not a permutation of the vertex set")
-        return Tour(order=canonical_cycle(order), weight=cycle_weight(inst, order))
 
 
 @dataclass
@@ -66,15 +52,10 @@ class GluingState:
     cycles: List[List[int]]
     e0_per_cycle: List[List[Edge]]
     removed_log: List[tuple] = field(default_factory=list)
-    removed_edges: set = field(default_factory=set)
 
     @property
     def k(self) -> int:
         return len(self.cycles)
-
-
-def edge_weight(inst: Instance, e: Edge) -> float:
-    return float(inst.dist[e[0], e[1]])
 
 
 def select_E0(inst: Instance, cover: CycleCover) -> Tuple[Edge, ...]:
@@ -89,32 +70,6 @@ def select_E0(inst: Instance, cover: CycleCover) -> Tuple[Edge, ...]:
         pool.extend(edges[:2])
     assert sum(edge_weight(inst, e) for e in pool) <= (2.0 / 3.0 + 1e-9) * cover.weight
     return tuple(sorted(pool))
-
-
-def open_cycle_at(cycle: Sequence[int], e: Edge) -> List[int]:
-    """The cycle opened at edge e, as a path from e[0] to e[1]."""
-    m = len(cycle)
-    for i in range(m):
-        a, b = cycle[i], cycle[(i + 1) % m]
-        if (min(a, b), max(a, b)) == e:
-            path = list(cycle[(i + 1) % m :]) + list(cycle[: (i + 1) % m])
-            if path[0] != e[0]:
-                path.reverse()
-            return path
-    raise ValueError(f"edge {e} is not an edge of the cycle")
-
-
-def splice(a: Sequence[int], b: Sequence[int], ea: Edge, eb: Edge, pattern: int) -> List[int]:
-    """Merge two disjoint cycles, removing ea and eb.
-
-    Pattern 0 adds edges {ea[0], eb[1]} and {ea[1], eb[0]}; pattern 1 adds
-    {ea[0], eb[0]} and {ea[1], eb[1]}.  The result runs ea[0]..ea[1] along
-    a, then through b, so the added edges sit at positions (-1, 0) and
-    (len(a) - 1, len(a)).
-    """
-    pa = open_cycle_at(a, ea)
-    pb = open_cycle_at(b, eb)
-    return pa + (pb if pattern == 0 else pb[::-1])
 
 
 def try_delta_gluing(
@@ -210,7 +165,6 @@ def glue_once(state: GluingState) -> bool:
             added_w = float(d[j1] + d[j2])
             removed_w = float(d[ep] + d[eq])
             state.removed_log.append(((ep, eq), added, removed_w, added_w))
-            state.removed_edges.update((ep, eq))
             survivors = [e for e in state.e0_per_cycle[p] if e != ep] + [
                 e for e in state.e0_per_cycle[q] if e != eq
             ]
@@ -271,8 +225,6 @@ def algorithm_A(inst: Instance, delta: float) -> Tuple[Tour, Certificate]:
     optimum because the maximum cover outweighs every tour.  It is
     positive for every valid input: k_final <= n/3 and delta < 1.
     """
-    from .merge import serdyukov_combine
-
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     cover = max_weight_cycle_cover(inst)

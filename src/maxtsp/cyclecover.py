@@ -35,6 +35,9 @@ unmatched, which forces both stubs onto vertex copies.  Matching weight
 is twice the 2-factor weight, so the maximum matching decodes to the
 heaviest cover on those pairs.  On all pairs the gadget has 2n + n(n-1)
 nodes and serves as the independent oracle the tests compare against.
+
+:class:`Tour` and the cycle helpers the gluing loop and the patching
+step share, :func:`splice` among them, live here too.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ BRUTE_FORCE_COVER_CAP = 9
 PRICING_TOL_FACTOR = 1e-12
 
 Cycle = Tuple[int, ...]
-Pair = Tuple[int, int]
+Edge = Tuple[int, int]
 
 
 def canonical_cycle(cycle: Sequence[int]) -> Cycle:
@@ -70,7 +73,7 @@ def canonical_cycle(cycle: Sequence[int]) -> Cycle:
     return tuple(cyc)
 
 
-def cycle_edges(cycle: Sequence[int]) -> List[Tuple[int, int]]:
+def cycle_edges(cycle: Sequence[int]) -> List[Edge]:
     """Edges of a cycle as sorted pairs, including the wrap-around edge."""
     m = len(cycle)
     return [
@@ -83,6 +86,51 @@ def cycle_weight(inst: Instance, cycle: Sequence[int]) -> float:
     d = inst.dist
     m = len(cycle)
     return float(sum(d[cycle[i], cycle[(i + 1) % m]] for i in range(m)))
+
+
+def edge_weight(inst: Instance, e: Edge) -> float:
+    return float(inst.dist[e[0], e[1]])
+
+
+def open_cycle_at(cycle: Sequence[int], e: Edge) -> List[int]:
+    """The cycle opened at edge e, as a path from e[0] to e[1]."""
+    m = len(cycle)
+    for i in range(m):
+        a, b = cycle[i], cycle[(i + 1) % m]
+        if (min(a, b), max(a, b)) == e:
+            path = list(cycle[(i + 1) % m :]) + list(cycle[: (i + 1) % m])
+            if path[0] != e[0]:
+                path.reverse()
+            return path
+    raise ValueError(f"edge {e} is not an edge of the cycle")
+
+
+def splice(a: Sequence[int], b: Sequence[int], ea: Edge, eb: Edge, pattern: int) -> List[int]:
+    """Merge two disjoint cycles, removing ea and eb.
+
+    Pattern 0 adds edges {ea[0], eb[1]} and {ea[1], eb[0]}; pattern 1 adds
+    {ea[0], eb[0]} and {ea[1], eb[1]}.  The result runs ea[0]..ea[1] along
+    a, then through b, so the added edges sit at positions (-1, 0) and
+    (len(a) - 1, len(a)).
+    """
+    pa = open_cycle_at(a, ea)
+    pb = open_cycle_at(b, eb)
+    return pa + (pb if pattern == 0 else pb[::-1])
+
+
+@dataclass(frozen=True)
+class Tour:
+    """A Hamiltonian cycle: canonical cyclic order plus total weight."""
+
+    order: Cycle
+    weight: float
+
+    @staticmethod
+    def from_order(inst: Instance, order: Sequence[int]) -> "Tour":
+        order = tuple(order)
+        if sorted(order) != list(range(inst.n)):
+            raise ValueError("tour order is not a permutation of the vertex set")
+        return Tour(order=canonical_cycle(order), weight=cycle_weight(inst, order))
 
 
 @dataclass(frozen=True)
@@ -116,25 +164,14 @@ class CycleCover:
     def k(self) -> int:
         return len(self.cycles)
 
-    def edge_set(self) -> FrozenSet[Tuple[int, int]]:
+    def edge_set(self) -> FrozenSet[Edge]:
         out = set()
         for c in self.cycles:
             out.update(cycle_edges(c))
         return frozenset(out)
 
 
-def pair_rank(u: int, v: int, n: int) -> int:
-    """Rank of the unordered pair {u < v} in lexicographic order."""
-    if not 0 <= u < v < n:
-        raise ValueError(f"need 0 <= u < v < n, got ({u}, {v})")
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-def gadget_nodes(n: int) -> int:
-    return 2 * n + n * (n - 1)
-
-
-def build_gadget(inst: Instance, pairs: Optional[Sequence[Pair]] = None) -> WeightedGraph:
+def build_gadget(inst: Instance, pairs: Optional[Sequence[Edge]] = None) -> WeightedGraph:
     """Gadget graph whose perfect matchings encode 2-factors on the given pairs.
 
     pairs lists candidate vertex pairs (u < v); the default is every pair
@@ -160,24 +197,7 @@ def build_gadget(inst: Instance, pairs: Optional[Sequence[Pair]] = None) -> Weig
     return WeightedGraph(2 * n + 2 * len(pairs), edges)
 
 
-def encode_cover(inst: Instance, cover: CycleCover) -> List[Tuple[int, int]]:
-    """Perfect-matching pairs encoding the given cover (test oracle helper)."""
-    n = inst.n
-    used = cover.edge_set()
-    copies_free = {u: [2 * u, 2 * u + 1] for u in range(n)}
-    pairs: List[Tuple[int, int]] = []
-    for u, v in combinations(range(n), 2):
-        p = pair_rank(u, v, n)
-        su, sv = 2 * n + 2 * p, 2 * n + 2 * p + 1
-        if (u, v) in used:
-            pairs.append((copies_free[u].pop(), su))
-            pairs.append((copies_free[v].pop(), sv))
-        else:
-            pairs.append((su, sv))
-    return pairs
-
-
-def _cover_from_pairs(inst: Instance, pairs: Iterable[Pair]) -> CycleCover:
+def _cover_from_pairs(inst: Instance, pairs: Iterable[Edge]) -> CycleCover:
     """The cover whose edges are the given pairs (every vertex of degree 2)."""
     n = inst.n
     adj: Dict[int, List[int]] = {u: [] for u in range(n)}
@@ -207,7 +227,7 @@ def _cover_from_pairs(inst: Instance, pairs: Iterable[Pair]) -> CycleCover:
 
 
 def decode_matching(
-    inst: Instance, matching: Matching, pairs: Optional[Sequence[Pair]] = None
+    inst: Instance, matching: Matching, pairs: Optional[Sequence[Edge]] = None
 ) -> CycleCover:
     """2-factor selected by a perfect matching of the gadget on these pairs.
 
@@ -314,8 +334,8 @@ def _round_even_components(twice_x: np.ndarray, dist: np.ndarray) -> None:
         adj[int(v)].append(int(u))
     for start in range(n):
         # Hierholzer: the edges come off the stack as a closed walk.
-        circuit: List[Pair] = []
-        stack: List[Tuple[int, Optional[Pair]]] = [(start, None)]
+        circuit: List[Edge] = []
+        stack: List[Tuple[int, Optional[Edge]]] = [(start, None)]
         while stack:
             v, edge = stack[-1]
             if adj[v]:
@@ -345,7 +365,7 @@ def dual_bound(dist: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
     return upper, np.maximum(-slack, 0.0)
 
 
-def _matching_cover(inst: Instance, pairs: Sequence[Pair]) -> Optional[CycleCover]:
+def _matching_cover(inst: Instance, pairs: Sequence[Edge]) -> Optional[CycleCover]:
     """Heaviest cover on the candidate pairs, or None if there is none."""
     gadget = build_gadget(inst, pairs)
     try:

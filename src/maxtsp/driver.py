@@ -18,13 +18,15 @@ cover-relative bound in place of the scheme's claim.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 from .certificate import Certificate
-from .corealgo import Tour, algorithm_A
+from .corealgo import algorithm_A
+from .cyclecover import Tour
 from .exact import HELD_KARP_CAP, exact_dp
 from .merge import kostochka_serdyukov_56
-from .metricspace import Instance
+from .metricspace import Instance, check_dim
 
 FALLBACK_EPSILON = 1.0 / 6.0
 
@@ -39,12 +41,11 @@ def eptas_plan(n: int, epsilon: float, dim: float) -> Tuple[str, float, float]:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if dim < 0:
-        raise ValueError(f"dim must be non-negative, got {dim}")
+    check_dim(dim)
     if epsilon >= FALLBACK_EPSILON:
         return "five-sixths", float("nan"), float("nan")
     delta = (12.0 / 11.0) * epsilon
-    n_threshold = ((11.0 / 6.0) / epsilon) ** (2.0 * dim + 1.0)
+    n_threshold = _power((11.0 / 6.0) / epsilon, 2.0 * dim + 1.0)
     if n <= n_threshold:
         return "exact-dp", delta, n_threshold
     return "algorithm-A", delta, n_threshold
@@ -74,14 +75,16 @@ def eptas(inst: Instance, epsilon: float, dim: float) -> Tuple[Tour, Certificate
     return _run_branch(inst, branch, delta, stamp)
 
 
+def asymptotic_threshold(dim: float) -> float:
+    """n up to which :func:`asymptotic` runs the 5/6 fallback: 2^(2*dim+1)."""
+    return _power(2.0, 2.0 * check_dim(dim) + 1.0)
+
+
 def asymptotic_plan(n: int, dim: float) -> Tuple[str, float, float]:
     """Branch choice for :func:`asymptotic`: (branch, delta, error_bound)."""
-    if dim < 0:
-        raise ValueError(f"dim must be non-negative, got {dim}")
-    q = 2.0 * dim
-    if n <= 2.0 ** (q + 1.0):
+    if n <= asymptotic_threshold(dim):
         return "five-sixths", float("nan"), 1.0 / 6.0
-    root = n ** (1.0 / (q + 1.0))
+    root = n ** (1.0 / (2.0 * dim + 1.0))
     return "algorithm-A", 2.0 / root, (11.0 / 6.0) / root
 
 
@@ -95,10 +98,18 @@ def asymptotic(inst: Instance, dim: float) -> Tuple[Tour, Certificate]:
     condition keeps that delta inside (0, 1).
     """
     branch, delta, err = asymptotic_plan(inst.n, dim)
-    stamp = {"dim": float(dim), "n_threshold": 2.0 ** (2.0 * dim + 1.0)}
+    stamp = {"dim": float(dim), "n_threshold": asymptotic_threshold(dim)}
     if branch == "algorithm-A":
         stamp["claimed_bound"] = 1.0 - err
     return _run_branch(inst, branch, delta, stamp)
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, saturating to inf where the float overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def _run_branch(

@@ -1,17 +1,11 @@
 """Exact solvers: subset dynamic programming and brute-force enumeration.
 
 held_karp_max is the workhorse oracle, exact up to a hard cap of 20
-vertices.  It keeps (2^(n-1), n-1) tables over subsets of {1..n-1},
-since vertex 0 starts every path, and fills them one subset-size layer
-at a time: (n-1)^2 numpy steps for O(2^n * n^2) work in all, about a
-second at n = 20.  exact_dp wraps it in the (Tour, Certificate) shape of
-the other entry points.  brute_force_tour enumerates (n-1)!/2 tours and
+vertices, where it takes about a second.  exact_dp wraps it in the
+(Tour, Certificate) shape of the other entry points.  brute_force_tour enumerates (n-1)!/2 tours and
 exists to cross-check the DP; its enumerator is
 :func:`maxtsp.cyclecover.best_cycle_on`, the one the brute-force cover
-runs on each block.  minmax_transform flips the problem into its
-minimization complement for differential testing against minimizing
-solvers; the transformed matrix is generally not a metric and is exempt
-from metric validation.
+runs on each block.
 """
 
 from __future__ import annotations
@@ -21,8 +15,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .certificate import Certificate
-from .corealgo import Tour
-from .cyclecover import best_cycle_on
+from .cyclecover import Tour, best_cycle_on
 from .metricspace import Instance
 
 HELD_KARP_CAP = 20
@@ -94,18 +87,3 @@ def brute_force_tour(inst: Instance) -> Tour:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_TOUR_CAP} vertices, got {n}")
     return Tour.from_order(inst, best_cycle_on(inst, range(n))[1])
 
-
-def minmax_transform(inst: Instance) -> Instance:
-    """Complement instance: every weight w(e) becomes w_max - w(e).
-
-    A tour is maximum-weight in the original exactly when it is
-    minimum-weight here, and for every tour the two weights add up to
-    n * w_max.  The result usually violates the triangle inequality and
-    is meant for reduction experiments only, so no metric validation is
-    applied to it.
-    """
-    d = inst.dist
-    w_max = float(d.max())
-    out = w_max - d
-    np.fill_diagonal(out, 0.0)
-    return Instance(out)

@@ -6,9 +6,8 @@ then on a gadget restricted to the LP's candidate pairs; on the full
 gadget it is the oracle the cover tests compare against.  The solver
 itself is networkx's blossom implementation (exact for integer weights,
 and exact in practice for the well-separated float weights this package
-feeds it); this module owns the graph/matching types, the
-perfect-matching contract on top of the engine, and a brute-force oracle
-used throughout the test suite.
+feeds it); this module owns the graph/matching types and the
+perfect-matching contract on top of the engine.
 
 Weights may be negative: the reduction layer builds gadget graphs whose
 internal edges weigh zero, and the engine must not assume anything
@@ -19,10 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, List, Tuple
-
-BRUTE_FORCE_VERTEX_CAP = 12
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -113,60 +109,3 @@ def max_weight_perfect_matching(g: WeightedGraph) -> Matching:
         )
     return matching
 
-
-def _perfect_matchings(adj: List[List[int]], unmatched: set) -> Iterator[List[Tuple[int, int]]]:
-    if not unmatched:
-        yield []
-        return
-    u = min(unmatched)
-    unmatched.discard(u)
-    for v in adj[u]:
-        if v in unmatched:
-            unmatched.discard(v)
-            for rest in _perfect_matchings(adj, unmatched):
-                yield [(u, v)] + rest
-            unmatched.add(v)
-    unmatched.add(u)
-
-
-def enumerate_perfect_matchings(g: WeightedGraph) -> Iterator[Matching]:
-    """Yield every perfect matching of g (test oracle helper).
-
-    Branches on the lowest unmatched vertex, so the number of internal
-    states is bounded by the matching count times the vertex count.
-    """
-    adj: List[List[int]] = [[] for _ in range(g.num_vertices)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for pairs in _perfect_matchings(adj, set(range(g.num_vertices))):
-        yield Matching.from_pairs(g, pairs)
-
-
-def matching_brute_force(g: WeightedGraph) -> Matching:
-    """Maximum-weight perfect matching by exhaustive enumeration.
-
-    Capped at 12 vertices; raises ValueError above the cap or when no
-    perfect matching exists.
-    """
-    if g.num_vertices > BRUTE_FORCE_VERTEX_CAP:
-        raise ValueError(
-            f"brute force capped at {BRUTE_FORCE_VERTEX_CAP} vertices, got {g.num_vertices}"
-        )
-    if g.num_vertices % 2 != 0:
-        raise ValueError(f"odd vertex count {g.num_vertices}, no perfect matching")
-    best = None
-    for m in enumerate_perfect_matchings(g):
-        if best is None or m.weight > best.weight or (
-            m.weight == best.weight and m.pairs < best.pairs
-        ):
-            best = m
-    if best is None:
-        raise ValueError("no perfect matching exists")
-    return best
-
-
-def complete_graph(num_vertices: int, weight_fn) -> WeightedGraph:
-    """Convenience builder: complete graph with weight_fn(u, v) weights."""
-    edges = [(u, v, weight_fn(u, v)) for u, v in combinations(range(num_vertices), 2)]
-    return WeightedGraph(num_vertices, edges)

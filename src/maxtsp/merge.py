@@ -4,7 +4,7 @@ Two constructions live here.  :func:`serdyukov_combine` repeatedly merges
 the lowest-density cycle into a partner via the best exhaustive two-edge
 patch; each merge loses at most the current total weight divided by n,
 which compounds to the (1 - 1/n)^(k-1) floor the certificates rely on.
-The merge itself is :func:`maxtsp.corealgo.splice`, the step the gluing
+The merge itself is :func:`maxtsp.cyclecover.splice`, the step the gluing
 loop uses too.
 :func:`kostochka_serdyukov_56` is the constant-factor fallback: drop the
 minimum edge of each cycle of a maximum cover, then close the resulting
@@ -18,8 +18,17 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .certificate import Certificate
-from .corealgo import Edge, Tour, edge_weight, open_cycle_at, splice
-from .cyclecover import CycleCover, cycle_edges, cycle_weight, max_weight_cycle_cover
+from .cyclecover import (
+    CycleCover,
+    Edge,
+    Tour,
+    cycle_edges,
+    cycle_weight,
+    edge_weight,
+    max_weight_cycle_cover,
+    open_cycle_at,
+    splice,
+)
 from .metricspace import Instance
 
 

@@ -37,8 +37,9 @@ class Instance:
         points: optional tuple of coordinate tuples the matrix came from.
         norm: norm tag for the points ("euclidean", "manhattan", "chebyshev").
         dim_hint: optional doubling-dimension upper bound supplied by the
-            generator or the caller.  Never inferred; bound-certifying code
-            treats every dimension-dependent guarantee as conditional on it.
+            generator or the caller, a non-negative number or inf.  Never
+            inferred; bound-certifying code treats every
+            dimension-dependent guarantee as conditional on it.
     """
 
     __slots__ = ("_dist", "points", "norm", "dim_hint")
@@ -74,7 +75,7 @@ class Instance:
                 raise ValueError(f"unknown norm tag {norm!r}")
         self.points = points
         self.norm = norm if points is not None else None
-        self.dim_hint = None if dim_hint is None else float(dim_hint)
+        self.dim_hint = None if dim_hint is None else check_dim(dim_hint)
 
     @property
     def n(self) -> int:
@@ -93,7 +94,7 @@ class Instance:
         inst._dist = self._dist
         inst.points = self.points
         inst.norm = self.norm
-        inst.dim_hint = None if dim_hint is None else float(dim_hint)
+        inst.dim_hint = None if dim_hint is None else check_dim(dim_hint)
         return inst
 
     def __repr__(self) -> str:
@@ -179,6 +180,14 @@ def check_tol(tol: float) -> float:
     if not tol >= 0.0:  # also rejects NaN
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     return tol
+
+
+def check_dim(dim: float) -> float:
+    """dim as a float; ValueError unless it is a non-negative number."""
+    dim = float(dim)
+    if not dim >= 0.0:  # also rejects NaN
+        raise ValueError(f"dim must be non-negative, got {dim}")
+    return dim
 
 
 def _min_plus_square(d: np.ndarray, symmetric: bool) -> np.ndarray:

@@ -15,26 +15,25 @@ import pytest
 from maxtsp import (
     algorithm_A,
     asymptotic,
-    brute_force_tour,
     eptas,
     held_karp_max,
     kostochka_serdyukov_56,
     max_weight_cycle_cover,
-    max_weight_perfect_matching,
-    select_E0,
-    serdyukov_combine,
 )
 from maxtsp.corealgo import (
     current_selection,
-    edge_weight,
     glue_once,
     make_gluing_state,
     r_tau,
+    select_E0,
 )
-from maxtsp.cyclecover import cycle_cover_brute_force
-from maxtsp.matching import matching_brute_force
+from maxtsp.cyclecover import cycle_cover_brute_force, edge_weight
+from maxtsp.exact import brute_force_tour
+from maxtsp.matching import max_weight_perfect_matching
+from maxtsp.merge import serdyukov_combine
 
 from conftest import block_cover, line_instance, pm_graph, random_cover, random_metric
+from oracles import matching_brute_force
 
 GLUING_DELTAS = (0.2, 0.5)
 GLUING_SIZES = (32, 64, 128, 200)

@@ -12,10 +12,11 @@ import pytest
 import maxtsp
 import maxtsp.cli
 import maxtsp.metricspace
-from maxtsp import GeneratorSpec, Instance, brute_force_tour, dump_instance, generate
+from maxtsp import GeneratorSpec, Instance, dump_instance, generate
 from maxtsp.cli import main
+from maxtsp.exact import brute_force_tour
 
-from conftest import random_metric
+from conftest import line_instance, random_metric
 
 
 def write_instance(tmp_path, inst, name="inst.txt"):
@@ -218,6 +219,35 @@ class TestSolve:
         assert rc == 1
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        (["--eptas", "0.1"], ["--asymptotic"], ["--algoA", "0.3"], ["--exact"],
+         ["--five-sixths"]),
+    )
+    @pytest.mark.parametrize("dim", ("nan", "-1"))
+    @pytest.mark.parametrize("out", ("json", "text"))
+    def test_dim_must_be_non_negative(self, tmp_path, capsys, flags, dim, out):
+        path = write_instance(tmp_path, line_instance(30, seed=0))
+        rc = main(["solve", path, *flags, "--dim", dim, "--out", out])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dim must be non-negative, got {float(dim)}\n"
+
+    @pytest.mark.parametrize(
+        "flags, branch",
+        ((["--eptas", "0.01", "--dim", "200"], "algorithm-A"),
+         (["--asymptotic", "--dim", "1e4"], "five-sixths")),
+    )
+    def test_overflowing_threshold_saturates(self, tmp_path, capsys, flags, branch):
+        path = write_instance(tmp_path, line_instance(30, seed=0))
+        rc = main(["solve", path, *flags, "--out", "json"])
+        assert rc == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["branch"] == branch
+        assert cert["certified"] is (branch == "five-sixths")
+        assert cert["n_threshold"] == float("inf")
+
 
 class TestBench:
     def test_table_shape_and_oracle_column(self, capsys):
@@ -284,6 +314,24 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --solver {flag} requires --dim" in captured.err
+
+    @pytest.mark.parametrize("spec", ("eptas:0.1", "asymptotic", "algoA:0.5", "exact"))
+    def test_dim_must_be_non_negative(self, capsys, spec):
+        rc = main(["bench", "--family", "line", "--n-list", "6", "--seeds", "1",
+                   "--solver", spec, "--dim", "nan"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dim must be non-negative, got nan\n"
+
+    def test_overflowing_threshold_saturates(self, capsys):
+        rc = main(["bench", "--family", "line", "--n-list", "30", "--seeds", "1",
+                   "--solver", "eptas:0.01", "--dim", "300"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2
+        # uncertified pipeline run: the chain bound, not 1 - eps
+        assert float(lines[1].split()[6]) < 0.99
 
     def test_empty_solver_parameter(self, capsys):
         rc = main(["bench", "--family", "line", "--n-list", "6", "--seeds", "1",

@@ -8,31 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxtsp import (
-    Instance,
-    brute_force_tour,
-    cycle_cover_brute_force,
-    held_karp_max,
-    max_weight_cycle_cover,
-)
+from maxtsp import Instance, held_karp_max, max_weight_cycle_cover
 import maxtsp.cyclecover as cyclecover
 from maxtsp.cyclecover import (
     CycleCover,
     build_gadget,
     canonical_cycle,
+    cycle_cover_brute_force,
     cycle_weight,
     decode_matching,
     dual_bound,
-    encode_cover,
-    gadget_nodes,
-    pair_rank,
     two_matching_lp,
     _partitions_into_cycles,
 )
-from maxtsp.matching import Matching, enumerate_perfect_matchings, max_weight_perfect_matching
+from maxtsp.exact import brute_force_tour
+from maxtsp.matching import Matching, max_weight_perfect_matching
 from maxtsp.metricspace import GeneratorSpec, generate
 
 from conftest import integer_metric, line_instance, random_metric
+from oracles import encode_cover, enumerate_perfect_matchings, pair_rank
 
 
 def equilateral(n):
@@ -115,10 +109,6 @@ class TestGadgetShape:
         g = build_gadget(equilateral(4))
         assert g.num_vertices == 20
         assert len(g.edges) == 4 * 3 // 2 + 2 * 4 * 3
-
-    def test_node_count_formula(self):
-        for n in (3, 5, 8):
-            assert gadget_nodes(n) == 2 * n + n * (n - 1)
 
     def test_pair_rank_is_bijective(self):
         n = 7

@@ -11,20 +11,17 @@ from maxtsp import (
     Instance,
     algorithm_A,
     asymptotic,
-    asymptotic_plan,
-    brute_force_tour,
     eptas,
-    eptas_plan,
     exact_dp,
     generate,
-    gluing_loop,
     held_karp_max,
     kostochka_serdyukov_56,
     max_weight_cycle_cover,
-    select_E0,
-    serdyukov_combine,
 )
-from maxtsp.driver import FALLBACK_EPSILON
+from maxtsp.corealgo import gluing_loop, select_E0
+from maxtsp.driver import FALLBACK_EPSILON, asymptotic_plan, asymptotic_threshold, eptas_plan
+from maxtsp.exact import brute_force_tour
+from maxtsp.merge import serdyukov_combine
 
 from conftest import line_instance, random_metric
 
@@ -79,6 +76,20 @@ class TestEptasPlan:
         with pytest.raises(ValueError, match="dim"):
             eptas_plan(10, 0.1, -1.0)
 
+    def test_rejects_nan_dim(self):
+        # NaN fails every comparison, so "dim < 0" let it through
+        with pytest.raises(ValueError, match="dim must be non-negative, got nan"):
+            eptas_plan(30, 0.1, math.nan)
+
+    @pytest.mark.parametrize("epsilon, dim", ((0.01, 200.0), (0.1, 1e4), (1e-300, 1.0)))
+    def test_threshold_saturates_to_inf(self, epsilon, dim):
+        # ((11/6)/eps)^(2 dim + 1) overflows a float here; the plan must
+        # read it as inf, as dim = inf does, and not raise
+        branch, delta, threshold = eptas_plan(30, epsilon, dim)
+        assert (branch, threshold) == ("exact-dp", math.inf)
+        assert delta == (12.0 / 11.0) * epsilon
+        assert eptas_plan(30, epsilon, math.inf) == (branch, delta, threshold)
+
 
 class TestEptas:
     def test_small_instance_is_exact(self):
@@ -122,6 +133,18 @@ class TestEptas:
         assert cert.claimed_bound == pytest.approx(0.95)
         assert cert.delta == pytest.approx((12.0 / 11.0) * 0.05)
 
+    def test_overflowing_threshold_is_honestly_uncertified(self):
+        # n(eps) overflows to inf: exact is prescribed, n = 24 is over the
+        # DP cap, so the pipeline runs with certified = false
+        inst = random_metric(24, 0)
+        tour, cert = eptas(inst, 0.01, 200.0)
+        assert cert.branch == "algorithm-A"
+        assert cert.certified is False
+        assert cert.n_threshold == math.inf
+        ref_tour, ref_cert = eptas(inst, 0.01, math.inf)
+        assert tour == ref_tour
+        assert cert.to_dict() == dict(ref_cert.to_dict(), dim=200.0)
+
 
 class TestAsymptoticPlan:
     def test_small_n_uses_fallback(self):
@@ -144,6 +167,23 @@ class TestAsymptoticPlan:
     def test_rejects_negative_dim(self):
         with pytest.raises(ValueError, match="dim"):
             asymptotic_plan(10, -0.5)
+
+    def test_rejects_nan_dim(self):
+        with pytest.raises(ValueError, match="dim must be non-negative, got nan"):
+            asymptotic_plan(30, math.nan)
+
+    @pytest.mark.parametrize("dim", (600.0, 1e4, math.inf))
+    def test_huge_dim_takes_the_fallback(self, dim):
+        # 2^(2 dim + 1) overflows a float for dim >= 511.5
+        branch, _, err = asymptotic_plan(10**6, dim)
+        assert (branch, err) == ("five-sixths", 1.0 / 6.0)
+        assert asymptotic_threshold(dim) == math.inf
+
+    def test_threshold_is_the_stamped_one(self):
+        for dim in (0.0, 0.5, 1.0, 3.0):
+            assert asymptotic_threshold(dim) == 2.0 ** (2.0 * dim + 1.0)
+            _, cert = asymptotic(random_metric(9, 2), dim)
+            assert cert.n_threshold == asymptotic_threshold(dim)
 
 
 class TestAsymptotic:

@@ -1,25 +1,20 @@
-"""Exact tour oracles and the max/min transform."""
+"""Exact tour oracles."""
 
-import itertools
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from maxtsp import (
     GeneratorSpec,
     Instance,
-    brute_force_tour,
     exact_dp,
     generate,
     held_karp_max,
     kostochka_serdyukov_56,
-    minmax_transform,
 )
 from maxtsp.cyclecover import cycle_weight
-from maxtsp.exact import BRUTE_FORCE_TOUR_CAP, HELD_KARP_CAP
+from maxtsp.exact import BRUTE_FORCE_TOUR_CAP, HELD_KARP_CAP, brute_force_tour
 from maxtsp.metricspace import pairwise_distances
 
 from conftest import random_metric
@@ -165,49 +160,3 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="capped"):
             brute_force_tour(inst)
 
-
-class TestMinmaxTransform:
-    def test_equilateral_collapses_to_zero(self):
-        flipped = minmax_transform(equilateral(5))
-        assert np.all(flipped.dist == 0.0)
-
-    def test_diagonal_stays_zero(self):
-        flipped = minmax_transform(random_metric(7, 3))
-        assert np.all(np.diag(flipped.dist) == 0.0)
-
-    @given(st.integers(min_value=0, max_value=50))
-    @settings(max_examples=25, deadline=None)
-    def test_weight_identity_over_tours(self, seed):
-        # w_orig(T) + w_flipped(T) == n * w_max for every tour T
-        inst = random_metric(6, seed)
-        flipped = minmax_transform(inst)
-        w_max = inst.max_dist()
-        rng = np.random.default_rng(seed)
-        order = list(rng.permutation(6))
-        total = cycle_weight(inst, order) + cycle_weight(flipped, order)
-        assert total == pytest.approx(6 * w_max)
-
-    def test_argmax_becomes_argmin(self):
-        for seed in range(15):
-            inst = random_metric(7, seed + 60)
-            flipped = minmax_transform(inst)
-            best = brute_force_tour(inst)
-            # a tour maximizing the original must minimize the flipped weights
-            flipped_weights = [
-                cycle_weight(flipped, perm) for perm in _all_tours(7)
-            ]
-            assert cycle_weight(flipped, best.order) == pytest.approx(
-                min(flipped_weights), rel=1e-9
-            )
-
-    def test_result_need_not_be_metric(self):
-        # the flipped weights usually violate the triangle inequality;
-        # the constructor must not be applied strictly to them
-        flipped = minmax_transform(random_metric(5, 1))
-        assert flipped.n == 5
-
-
-def _all_tours(n):
-    for perm in itertools.permutations(range(1, n)):
-        if perm[0] < perm[-1]:
-            yield (0,) + perm

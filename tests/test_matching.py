@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from maxtsp import matching_brute_force, max_weight_perfect_matching
-from maxtsp.matching import (
-    WeightedGraph,
-    complete_graph,
-    enumerate_perfect_matchings,
-)
+from maxtsp.matching import WeightedGraph, max_weight_perfect_matching
 
 from conftest import pm_graph
+from oracles import complete_graph, enumerate_perfect_matchings, matching_brute_force
 
 
 def test_single_edge():

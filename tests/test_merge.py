@@ -7,12 +7,12 @@ from maxtsp import (
     CycleCover,
     Instance,
     Tour,
-    brute_force_tour,
     kostochka_serdyukov_56,
     max_weight_cycle_cover,
-    serdyukov_combine,
 )
 from maxtsp.cyclecover import cycle_weight
+from maxtsp.exact import brute_force_tour
+from maxtsp.merge import serdyukov_combine
 
 from conftest import random_cover, random_metric
 

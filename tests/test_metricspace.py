@@ -121,6 +121,18 @@ class TestInstance:
         assert other.dim_hint == 2.5
         assert other.dist is inst.dist
 
+    @pytest.mark.parametrize("dim", (math.nan, -1.0, -math.inf))
+    def test_dim_hint_must_be_non_negative(self, dim):
+        with pytest.raises(ValueError, match="dim must be non-negative"):
+            Instance(np.zeros((3, 3)), dim_hint=dim)
+        with pytest.raises(ValueError, match="dim must be non-negative"):
+            equilateral(4).with_dim_hint(dim)
+
+    def test_dim_hint_may_be_zero_or_inf(self):
+        assert Instance(np.zeros((3, 3)), dim_hint=0).dim_hint == 0.0
+        assert equilateral(4).with_dim_hint(math.inf).dim_hint == math.inf
+        assert equilateral(4).with_dim_hint(None).dim_hint is None
+
 
 class TestValidateMetric:
     def test_valid_passes(self):

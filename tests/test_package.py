@@ -1,0 +1,112 @@
+"""Package shape: the public namespace and the intra-package import graph."""
+
+import ast
+from pathlib import Path
+
+import maxtsp
+
+PACKAGE_DIR = Path(maxtsp.__file__).resolve().parent
+
+PUBLIC_NAMES = {
+    # solver entry points, each returning (Tour, Certificate)
+    "algorithm_A",
+    "asymptotic",
+    "eptas",
+    "exact_dp",
+    "kostochka_serdyukov_56",
+    # the exact DP's tour and the maximum cover alone
+    "held_karp_max",
+    "max_weight_cycle_cover",
+    # instance I/O and diagnostics
+    "dump_instance",
+    "estimate_doubling",
+    "generate",
+    "load_instance",
+    "validate_metric",
+    # data types
+    "Certificate",
+    "CycleCover",
+    "GeneratorSpec",
+    "Instance",
+    "MetricReport",
+    "Tour",
+}
+
+
+def _siblings(node):
+    """The package modules an import statement names (none for others)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level >= 1:
+            return [node.module] if node.module else [a.name for a in node.names]
+        names = [node.module or ""]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return []
+    return [n.split(".")[1] for n in names if n.startswith("maxtsp.")]
+
+
+def _package_imports():
+    """module -> set of sibling modules it imports, and the list of
+    (module, line) where a sibling import sits inside a function."""
+    graph, nested = {}, []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = {m for node in ast.walk(tree) for m in _siblings(node)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    (path.stem, node.lineno)
+                    for node in ast.walk(func)
+                    if _siblings(node)
+                ]
+    return graph, nested
+
+
+def _find_cycle(graph):
+    """One import cycle as a list of modules, or None."""
+    state = {}
+
+    def visit(module, stack):
+        state[module] = "open"
+        stack.append(module)
+        for dep in sorted(graph.get(module, ())):
+            if state.get(dep) == "open":
+                return stack[stack.index(dep):] + [dep]
+            if dep not in state:
+                found = visit(dep, stack)
+                if found:
+                    return found
+        stack.pop()
+        state[module] = "done"
+        return None
+
+    for module in sorted(graph):
+        if module not in state:
+            found = visit(module, [])
+            if found:
+                return found
+    return None
+
+
+def test_import_graph_is_acyclic():
+    graph, _ = _package_imports()
+    assert set(graph) >= {"corealgo", "cyclecover", "merge", "exact", "driver", "cli"}
+    assert _find_cycle(graph) is None
+
+
+def test_no_sibling_import_inside_a_function():
+    _, nested = _package_imports()
+    assert nested == []
+
+
+def test_cycle_finder_sees_a_cycle():
+    assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _find_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
+def test_public_namespace_is_pinned():
+    assert len(maxtsp.__all__) == len(PUBLIC_NAMES) == 18
+    assert set(maxtsp.__all__) == PUBLIC_NAMES
+    for name in maxtsp.__all__:
+        assert getattr(maxtsp, name) is not None
