@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -108,12 +109,13 @@ def _cmd_solve(args, parser) -> int:
             break
     tour, cert = _solver(name, param, args.dim, parser, f"--{name}")(inst)
     if args.out == "json":
-        payload = {
-            "tour": list(tour.order),
-            "weight": tour.weight,
-            "certificate": cert.to_dict(),
+        # strict JSON has no infinity: write the token to_text() prints
+        certificate = {
+            key: repr(value) if isinstance(value, float) and math.isinf(value) else value
+            for key, value in cert.to_dict().items()
         }
-        print(json.dumps(payload))
+        payload = {"tour": list(tour.order), "weight": tour.weight, "certificate": certificate}
+        print(json.dumps(payload, allow_nan=False))
     else:
         if not cert.certified:
             print("*** certified = false: this run carries no accuracy guarantee "

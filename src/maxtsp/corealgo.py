@@ -25,6 +25,7 @@ from .cyclecover import (
     Tour,
     cycle_edges,
     edge_weight,
+    lightest_edges,
     max_weight_cycle_cover,
     splice,
 )
@@ -41,10 +42,10 @@ class GluingState:
     """Working state of the gluing loop.
 
     cycles is the current cover; e0_per_cycle[i] holds cycle i's surviving
-    pool edges (always exactly two: each merge consumes one from each side
-    and the merged cycle inherits the two leftovers).  removed_log records
-    every performed gluing as (removed pair, added pair, removed weight,
-    added weight).
+    pool edges, lightest first (always exactly two: each merge consumes the
+    lighter one from each side and the merged cycle inherits the two
+    leftovers).  removed_log records every performed gluing as (removed
+    pair, added pair, removed weight, added weight).
     """
 
     inst: Instance
@@ -58,18 +59,16 @@ class GluingState:
         return len(self.cycles)
 
 
-def select_E0(inst: Instance, cover: CycleCover) -> Tuple[Edge, ...]:
-    """The removable pool: the two minimum-weight edges of every cycle.
+def select_E0(inst: Instance, cover: CycleCover) -> List[List[Edge]]:
+    """The removable pool, per cycle: its two lightest edges, lightest first.
 
     Ties break by lexicographic vertex-pair order.  Because each cycle has
     at least three edges, the pool carries at most 2/3 of the cover weight.
     """
-    pool: List[Edge] = []
-    for cyc in cover.cycles:
-        edges = sorted(cycle_edges(cyc), key=lambda e: (edge_weight(inst, e), e))
-        pool.extend(edges[:2])
-    assert sum(edge_weight(inst, e) for e in pool) <= (2.0 / 3.0 + 1e-9) * cover.weight
-    return tuple(sorted(pool))
+    pools = [lightest_edges(inst, cycle_edges(cyc))[:2] for cyc in cover.cycles]
+    pool_weight = sum(edge_weight(inst, e) for pool in pools for e in pool)
+    assert pool_weight <= (2.0 / 3.0 + 1e-9) * cover.weight
+    return pools
 
 
 def try_delta_gluing(
@@ -105,40 +104,26 @@ def try_delta_gluing(
     return merged
 
 
-def make_gluing_state(
-    inst: Instance, cover: CycleCover, e0: Sequence[Edge], delta: float
-) -> GluingState:
-    """Initial loop state for a cover and its removable pool."""
+def make_gluing_state(inst: Instance, cover: CycleCover, delta: float) -> GluingState:
+    """Initial loop state for a cover, with its removable pool."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    pool = set(e0)
-    per_cycle: List[List[Edge]] = []
-    for cyc in cover.cycles:
-        mine = sorted(e for e in cycle_edges(cyc) if e in pool)
-        if len(mine) != 2:
-            raise ValueError(
-                f"cycle {cyc} holds {len(mine)} pool edges, expected exactly 2"
-            )
-        per_cycle.append(mine)
     return GluingState(
         inst=inst,
         delta=float(delta),
         cycles=[list(c) for c in cover.cycles],
-        e0_per_cycle=per_cycle,
+        e0_per_cycle=select_E0(inst, cover),
     )
 
 
 def current_selection(state: GluingState) -> List[Edge]:
-    """One selected pool edge per cycle: the minimum-weight survivor.
+    """One selected pool edge per cycle: the lightest survivor.
 
-    Ties break lexicographically.  This is the selection the loop tests
-    for feasible gluings, and the selection the terminal-state
-    diagnostics (:func:`r_tau`) are evaluated on.
+    This is the selection the loop tests for feasible gluings, and the
+    selection the terminal-state diagnostics (:func:`r_tau`) are
+    evaluated on.
     """
-    return [
-        min(edges, key=lambda e: (edge_weight(state.inst, e), e))
-        for edges in state.e0_per_cycle
-    ]
+    return [pool[0] for pool in state.e0_per_cycle]
 
 
 def glue_once(state: GluingState) -> bool:
@@ -165,20 +150,16 @@ def glue_once(state: GluingState) -> bool:
             added_w = float(d[j1] + d[j2])
             removed_w = float(d[ep] + d[eq])
             state.removed_log.append(((ep, eq), added, removed_w, added_w))
-            survivors = [e for e in state.e0_per_cycle[p] if e != ep] + [
-                e for e in state.e0_per_cycle[q] if e != eq
-            ]
+            survivors = state.e0_per_cycle[p][1:] + state.e0_per_cycle[q][1:]
             state.cycles[p] = merged
-            state.e0_per_cycle[p] = sorted(survivors)
+            state.e0_per_cycle[p] = lightest_edges(state.inst, survivors)
             del state.cycles[q]
             del state.e0_per_cycle[q]
             return True
     return False
 
 
-def gluing_loop(
-    inst: Instance, cover: CycleCover, e0: Sequence[Edge], delta: float
-) -> CycleCover:
+def gluing_loop(inst: Instance, cover: CycleCover, delta: float) -> CycleCover:
     """Run the gluing loop to exhaustion and return the shrunk cover.
 
     The result keeps at least (1 - (2/3) * delta) of the input weight:
@@ -188,7 +169,7 @@ def gluing_loop(
     dim, the terminal cycle count is at most (2/delta)^(2*dim) / 2; with
     an unreliable dim_hint the count is still logged but not bounded.
     """
-    state = make_gluing_state(inst, cover, e0, delta)
+    state = make_gluing_state(inst, cover, delta)
     while glue_once(state):
         pass
     return CycleCover.from_cycles(inst, state.cycles)
@@ -228,7 +209,7 @@ def algorithm_A(inst: Instance, delta: float) -> Tuple[Tour, Certificate]:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     cover = max_weight_cycle_cover(inst)
-    glued = gluing_loop(inst, cover, select_E0(inst, cover), delta)
+    glued = gluing_loop(inst, cover, delta)
     tour = serdyukov_combine(inst, glued)
     bound = 1.0 - (2.0 / 3.0) * delta - glued.k / inst.n
     cert = Certificate(

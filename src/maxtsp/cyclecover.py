@@ -92,6 +92,11 @@ def edge_weight(inst: Instance, e: Edge) -> float:
     return float(inst.dist[e[0], e[1]])
 
 
+def lightest_edges(inst: Instance, edges: Iterable[Edge]) -> List[Edge]:
+    """The edges lightest first, ties to the smaller vertex pair."""
+    return sorted(edges, key=lambda e: (edge_weight(inst, e), e))
+
+
 def open_cycle_at(cycle: Sequence[int], e: Edge) -> List[int]:
     """The cycle opened at edge e, as a path from e[0] to e[1]."""
     m = len(cycle)

@@ -18,6 +18,7 @@ cover-relative bound in place of the scheme's claim.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Tuple
 
@@ -116,13 +117,12 @@ def _run_branch(
     inst: Instance, branch: str, delta: float, stamp: dict
 ) -> Tuple[Tour, Certificate]:
     """Run one branch's entry point, then overwrite the certificate
-    fields the scheme owns (stamp: field name -> value)."""
+    fields the scheme owns (stamp: field name -> value).  The stamped
+    certificate is checked like a constructed one."""
     if branch == "five-sixths":
         tour, cert = kostochka_serdyukov_56(inst)
     elif branch == "exact-dp":
         tour, cert = exact_dp(inst)
     else:
         tour, cert = algorithm_A(inst, delta)
-    for key, value in stamp.items():
-        setattr(cert, key, value)
-    return tour, cert
+    return tour, dataclasses.replace(cert, **stamp)

@@ -20,11 +20,10 @@ from typing import List, Sequence, Tuple
 from .certificate import Certificate
 from .cyclecover import (
     CycleCover,
-    Edge,
     Tour,
     cycle_edges,
     cycle_weight,
-    edge_weight,
+    lightest_edges,
     max_weight_cycle_cover,
     open_cycle_at,
     splice,
@@ -85,10 +84,6 @@ def serdyukov_combine(inst: Instance, cover: CycleCover) -> Tour:
         cycles[a_idx] = merged
         del cycles[b_idx]
     return Tour.from_order(inst, cycles[0])
-
-
-def _min_edge(inst: Instance, cycle: Sequence[int]) -> Edge:
-    return min(cycle_edges(cycle), key=lambda e: (edge_weight(inst, e), e))
 
 
 def _best_orientation_tour(inst: Instance, paths: List[List[int]]) -> Tour:
@@ -172,7 +167,7 @@ def kostochka_serdyukov_56(inst: Instance) -> Tuple[Tour, Certificate]:
     if cover.k == 1:
         tour = Tour.from_order(inst, cover.cycles[0])
     else:
-        paths = [list(open_cycle_at(c, _min_edge(inst, c))) for c in cover.cycles]
+        paths = [open_cycle_at(c, lightest_edges(inst, cycle_edges(c))[0]) for c in cover.cycles]
         best = _best_orientation_tour(inst, paths)
         greedy = _greedy_junction_tour(inst, paths)
         tour = best if best.weight >= greedy.weight else greedy

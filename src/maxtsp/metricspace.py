@@ -33,7 +33,8 @@ class Instance:
 
     Attributes:
         n: vertex count (at least 3 for every solver entry point).
-        dist: read-only float64 array of shape (n, n), zero diagonal.
+        dist: read-only float64 array of shape (n, n), zero diagonal,
+            finite entries whose largest times n is finite too.
         points: optional tuple of coordinate tuples the matrix came from.
         norm: norm tag for the points ("euclidean", "manhattan", "chebyshev").
         dim_hint: optional doubling-dimension upper bound supplied by the
@@ -57,11 +58,13 @@ class Instance:
         n = arr.shape[0]
         if n < 3:
             raise ValueError(f"need at least 3 vertices, got {n}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("distance matrix contains non-finite entries")
+        _check_finite(arr)
         if np.any(arr < 0):
             i, j = np.argwhere(arr < 0)[0]
             raise ValueError(f"negative distance at ({i}, {j}): {arr[i, j]}")
+        # a tour or cover sums n distances, and that sum must stay finite
+        if not math.isfinite(n * float(arr.max())):
+            raise ValueError(f"distances too large: {n} * {float(arr.max())!r} overflows")
         if np.any(np.diagonal(arr) != 0):
             i = int(np.flatnonzero(np.diagonal(arr))[0])
             raise ValueError(f"nonzero diagonal at ({i}, {i}): {arr[i, i]}")
@@ -167,6 +170,11 @@ class MetricReport:
             )
         lines.append("  result: " + ("pass" if self.passed else "FAIL"))
         return "\n".join(lines)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("distance matrix contains non-finite entries")
 
 
 def default_tol(dist: np.ndarray) -> float:
@@ -295,19 +303,24 @@ def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport
 
 
 def pairwise_distances(points: Sequence[Sequence[float]], norm: str) -> np.ndarray:
-    """Dense pairwise distance matrix for the given norm tag."""
+    """Dense pairwise distance matrix for the given norm tag.
+
+    Distances too large for a float come out as inf, which
+    :class:`Instance` rejects.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array-like")
-    diff = pts[:, None, :] - pts[None, :, :]
-    if norm == "euclidean":
-        d = np.sqrt((diff * diff).sum(axis=2))
-    elif norm == "manhattan":
-        d = np.abs(diff).sum(axis=2)
-    elif norm == "chebyshev":
-        d = np.abs(diff).max(axis=2)
-    else:
-        raise ValueError(f"unknown norm tag {norm!r}")
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        if norm == "euclidean":
+            d = np.sqrt((diff * diff).sum(axis=2))
+        elif norm == "manhattan":
+            d = np.abs(diff).sum(axis=2)
+        elif norm == "chebyshev":
+            d = np.abs(diff).max(axis=2)
+        else:
+            raise ValueError(f"unknown norm tag {norm!r}")
     np.fill_diagonal(d, 0.0)
     # symmetrize to kill last-bit asymmetry from float evaluation order
     return np.minimum(d, d.T)
@@ -444,6 +457,7 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
         if any(len(r) != n for r in rows):
             raise ValueError(f"matrix rows must have {n} entries")
         dist = np.array(rows, dtype=np.float64)
+        _check_finite(dist)
         if sym_tol is None:
             sym_tol = default_tol(np.abs(dist))
         asym = np.abs(dist - dist.T)
@@ -477,6 +491,7 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
             raise ValueError(f"bad coordinate: {exc}") from None
         if any(len(p) != d for p in pts):
             raise ValueError(f"point rows must have {d} coordinates")
+        _check_finite(np.array(pts))
         inst = Instance(pairwise_distances(pts, norm), points=pts, norm=norm)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -25,7 +25,6 @@ from maxtsp.corealgo import (
     glue_once,
     make_gluing_state,
     r_tau,
-    select_E0,
 )
 from maxtsp.cyclecover import cycle_cover_brute_force, edge_weight
 from maxtsp.exact import brute_force_tour
@@ -58,7 +57,7 @@ def gluing_diagnostics():
             for seed in range(GLUING_SEEDS):
                 inst = line_instance(n, seed)
                 cover = block_cover(inst)
-                state = make_gluing_state(inst, cover, select_E0(inst, cover), delta)
+                state = make_gluing_state(inst, cover, delta)
                 while glue_once(state):
                     pass
                 sel = current_selection(state)

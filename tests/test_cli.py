@@ -1,6 +1,7 @@
 """CLI behavior, run in-process through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -246,7 +247,67 @@ class TestSolve:
         cert = json.loads(capsys.readouterr().out)["certificate"]
         assert cert["branch"] == branch
         assert cert["certified"] is (branch == "five-sixths")
-        assert cert["n_threshold"] == float("inf")
+        assert float(cert["n_threshold"]) == float("inf")
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        ((["--eptas", "0.01", "--dim", "200"], "n_threshold"),
+         (["--algoA", "0.3", "--dim", "inf"], "dim")),
+    )
+    def test_json_writes_infinity_as_a_string(self, tmp_path, capsys, flags, key):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        path = write_instance(tmp_path, line_instance(30, seed=0))
+        assert main(["solve", path, *flags, "--out", "json"]) == 0
+        cert = json.loads(capsys.readouterr().out, parse_constant=reject)["certificate"]
+        assert cert[key] == "inf"
+
+
+def matrix_file(tmp_path, value, n=5):
+    rows = [" ".join("0" if i == j else repr(value) for j in range(n)) for i in range(n)]
+    path = tmp_path / "matrix.txt"
+    path.write_text(f"maxtsp v1 {n} matrix\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def points_file(tmp_path, coords, norm="euclidean"):
+    path = tmp_path / "points.txt"
+    body = "\n".join(repr(c) for c in coords)
+    path.write_text(f"maxtsp v1 {len(coords)} points\nnorm {norm} dim 1\n{body}\n", encoding="utf-8")
+    return str(path)
+
+
+class TestOutOfRangeNumbers:
+    # the suite turns numpy RuntimeWarnings into errors, so each case also
+    # checks that no overflow or inf - inf warning escapes
+    @pytest.mark.parametrize(
+        "make, message",
+        ((lambda tmp: points_file(tmp, [1e200, -1e200, 0.0]), "non-finite"),
+         (lambda tmp: points_file(tmp, [1.7e308, -1.7e308, 0.0], "chebyshev"), "non-finite"),
+         (lambda tmp: points_file(tmp, [math.inf, -1.0, 0.0]), "non-finite"),
+         (lambda tmp: matrix_file(tmp, math.inf), "non-finite"),
+         (lambda tmp: matrix_file(tmp, 1e308), "distances too large")),
+    )
+    @pytest.mark.parametrize("command", (["solve", "--algoA", "0.5"], ["validate"]))
+    def test_rejected_without_warnings(self, tmp_path, capsys, make, message, command):
+        path = make(tmp_path)
+        assert main([command[0], path, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "flags",
+        (["--algoA", "0.5"], ["--five-sixths"], ["--exact"],
+         ["--eptas", "0.05", "--dim", "1"], ["--asymptotic", "--dim", "0.5"]),
+    )
+    def test_largest_finite_scale_solves(self, tmp_path, capsys, flags):
+        for value in (1e300, sys.float_info.max / 5):
+            path = matrix_file(tmp_path, value)
+            assert main(["solve", path, *flags, "--out", "json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["weight"] == pytest.approx(5 * value, rel=1e-12)
+            assert out["certificate"]["certified"] is True
 
 
 class TestBench:

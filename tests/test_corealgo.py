@@ -45,21 +45,21 @@ class TestSelectE0:
         inst = path_instance([1.0, 2.0])
         cover = CycleCover.from_cycles(inst, [[0, 1, 2]])
         pool = select_E0(inst, cover)
-        weights = sorted(edge_weight(inst, e) for e in pool)
+        weights = [edge_weight(inst, e) for e in pool[0]]
         assert weights == [1.0, 2.0]
 
     def test_tie_break_is_lexicographic(self):
         inst = equilateral(5)
         cover = CycleCover.from_cycles(inst, [[0, 1, 2, 3, 4]])
-        assert select_E0(inst, cover) == ((0, 1), (0, 4))
+        assert select_E0(inst, cover) == [[(0, 1), (0, 4)]]
 
     def test_pool_weight_at_most_two_thirds(self):
         for seed in range(20):
             inst = random_metric(12, seed)
             cover = random_cover(inst, seed)
             pool = select_E0(inst, cover)
-            assert len(pool) == 2 * cover.k
-            total = sum(edge_weight(inst, e) for e in pool)
+            assert [len(edges) for edges in pool] == [2] * cover.k
+            total = sum(edge_weight(inst, e) for edges in pool for e in edges)
             assert total <= (2.0 / 3.0) * cover.weight + 1e-9
 
 
@@ -126,7 +126,7 @@ class TestGluingLoop:
     def test_single_cycle_untouched(self):
         inst = random_metric(7, 3)
         cover = CycleCover.from_cycles(inst, [[0, 1, 2, 3, 4, 5, 6]])
-        out = gluing_loop(inst, cover, select_E0(inst, cover), 0.3)
+        out = gluing_loop(inst, cover, 0.3)
         assert out.cycles == cover.cycles
 
     def test_line_64_terminal_count_bound(self):
@@ -134,7 +134,7 @@ class TestGluingLoop:
         # (2/0.5)^2 / 2 = 8 on a line
         inst = line_instance(64, seed=5)
         cover = block_cover(inst)
-        out = gluing_loop(inst, cover, select_E0(inst, cover), 0.5)
+        out = gluing_loop(inst, cover, 0.5)
         assert out.k <= 8
 
     def test_weight_floor(self):
@@ -142,7 +142,7 @@ class TestGluingLoop:
             inst = random_metric(9, seed + 50)
             cover = max_weight_cycle_cover(inst)
             for delta in (0.2, 0.5, 0.8):
-                out = gluing_loop(inst, cover, select_E0(inst, cover), delta)
+                out = gluing_loop(inst, cover, delta)
                 floor = (1.0 - (2.0 / 3.0) * delta) * cover.weight
                 assert out.weight >= floor - 1e-9 * cover.weight
 
@@ -150,7 +150,7 @@ class TestGluingLoop:
         inst = line_instance(30, seed=2)
         cover = block_cover(inst)
         initial_edges = cover.edge_set()
-        state = make_gluing_state(inst, cover, select_E0(inst, cover), 0.5)
+        state = make_gluing_state(inst, cover, 0.5)
         k_before = state.k
         steps = 0
         while glue_once(state):
@@ -177,12 +177,43 @@ class TestGluingLoop:
     def test_log_weights_respect_threshold(self):
         inst = line_instance(40, seed=9)
         cover = block_cover(inst)
-        state = make_gluing_state(inst, cover, select_E0(inst, cover), 0.4)
+        state = make_gluing_state(inst, cover, 0.4)
         while glue_once(state):
             pass
         eps = 1e-12 * inst.max_dist()
         for _, _, removed_w, added_w in state.removed_log:
             assert added_w >= (1.0 - 0.4) * removed_w - eps
+
+
+class TestPools:
+    @pytest.mark.parametrize("family", ("line", "euclidean", "random-metric", "equilateral"))
+    def test_pools_stay_lightest_first(self, family):
+        # each pool is sorted by (weight, pair) at every step, ties included
+        # on the equilateral instance, and a merge leaves the merged cycle
+        # exactly the two pool edges its sides did not give up
+        merges = 0
+        for seed in range(4):
+            if family == "equilateral":
+                inst = equilateral(30)
+            else:
+                inst = generate(GeneratorSpec(family=family, n=30, seed=seed, d=2))
+            cover = random_cover(inst, seed, k=10)
+            for delta in (0.3, 0.9):
+                state = make_gluing_state(inst, cover, delta)
+                while True:
+                    for pool in state.e0_per_cycle:
+                        assert pool == sorted(pool, key=lambda e: (inst.dist[e], e))
+                    before = [list(pool) for pool in state.e0_per_cycle]
+                    if not glue_once(state):
+                        break
+                    merges += 1
+                    (ep, eq), _, _, _ = state.removed_log[-1]
+                    p = next(i for i, pool in enumerate(before) if ep in pool)
+                    q = next(i for i, pool in enumerate(before) if eq in pool)
+                    leftovers = set(before[p] + before[q]) - {ep, eq}
+                    merged_pool = state.e0_per_cycle[p]
+                    assert len(merged_pool) == 2 and set(merged_pool) == leftovers
+        assert merges > 0
 
 
 class TestGluingLog:
@@ -196,7 +227,7 @@ class TestGluingLog:
             inst = generate(GeneratorSpec(family=family, n=30, seed=seed, d=2))
             cover = random_cover(inst, seed, k=10)
             for delta in (0.2, 0.6, 0.9):
-                state = make_gluing_state(inst, cover, select_E0(inst, cover), delta)
+                state = make_gluing_state(inst, cover, delta)
                 while True:
                     before = [list(c) for c in state.cycles]
                     sel = current_selection(state)
@@ -239,7 +270,7 @@ class TestRTau:
             inst = line_instance(45, seed=seed)
             cover = block_cover(inst)
             delta = 0.3
-            state = make_gluing_state(inst, cover, select_E0(inst, cover), delta)
+            state = make_gluing_state(inst, cover, delta)
             while glue_once(state):
                 pass
             sel = current_selection(state)

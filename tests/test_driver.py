@@ -18,8 +18,14 @@ from maxtsp import (
     kostochka_serdyukov_56,
     max_weight_cycle_cover,
 )
-from maxtsp.corealgo import gluing_loop, select_E0
-from maxtsp.driver import FALLBACK_EPSILON, asymptotic_plan, asymptotic_threshold, eptas_plan
+from maxtsp.corealgo import gluing_loop
+from maxtsp.driver import (
+    FALLBACK_EPSILON,
+    _run_branch,
+    asymptotic_plan,
+    asymptotic_threshold,
+    eptas_plan,
+)
 from maxtsp.exact import brute_force_tour
 from maxtsp.merge import serdyukov_combine
 
@@ -258,13 +264,20 @@ def test_scheme_certificate_overwrites_only_its_own_fields(
     assert cert.to_dict() == {**expected.to_dict(), **own}
 
 
+@pytest.mark.parametrize("branch", ("five-sixths", "exact-dp", "algorithm-A"))
+def test_stamped_certificate_is_checked(branch):
+    # a stamp goes through the same checks as a constructed certificate
+    with pytest.raises(ValueError, match="claimed_bound"):
+        _run_branch(random_metric(8, 0), branch, 0.5, {"claimed_bound": 1.5})
+
+
 def test_algorithm_a_is_cover_gluing_loop_and_combine():
     # maximum covers of 3 to 8 cycles, which delta = 0.2 glues into one or two
     for family, seed in (("euclidean", 1), ("euclidean", 3), ("random-metric", 1)):
         inst = generate(GeneratorSpec(family=family, n=40, seed=seed, d=2))
         delta = 0.2
         cover = max_weight_cycle_cover(inst)
-        glued = gluing_loop(inst, cover, select_E0(inst, cover), delta)
+        glued = gluing_loop(inst, cover, delta)
         tour, cert = algorithm_A(inst, delta)
         assert tour == serdyukov_combine(inst, glued)
         assert (cert.k_initial, cert.k_after_gluing) == (cover.k, glued.k)

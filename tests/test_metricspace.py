@@ -1,6 +1,7 @@
 """Instance model, validation, generation, doubling estimate, file I/O."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -127,6 +128,11 @@ class TestInstance:
             Instance(np.zeros((3, 3)), dim_hint=dim)
         with pytest.raises(ValueError, match="dim must be non-negative"):
             equilateral(4).with_dim_hint(dim)
+
+    def test_rejects_a_scale_whose_tour_weight_overflows(self):
+        with pytest.raises(ValueError, match="distances too large"):
+            Instance((np.ones((5, 5)) - np.eye(5)) * 1e308)
+        Instance((np.ones((5, 5)) - np.eye(5)) * (sys.float_info.max / 5))
 
     def test_dim_hint_may_be_zero_or_inf(self):
         assert Instance(np.zeros((3, 3)), dim_hint=0).dim_hint == 0.0
@@ -377,6 +383,22 @@ class TestFileFormat:
         ):
             with pytest.raises(ValueError):
                 load_instance(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ("maxtsp v1 3 matrix\n0 1 inf\n1 0 1\ninf 1 0\n",
+         "maxtsp v1 3 matrix\n0 1 nan\n1 0 1\nnan 1 0\n",
+         "maxtsp v1 3 points\nnorm euclidean dim 1\ninf\n-1\n0\n",
+         "maxtsp v1 3 points\nnorm manhattan dim 1\n0\nnan\n1\n"),
+    )
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("norm", ("euclidean", "manhattan", "chebyshev"))
+    def test_overflowing_distances_come_out_inf(self, norm):
+        d = pairwise_distances([[1.7e308], [-1.7e308], [0.0]], norm)
+        assert d[0, 1] == math.inf and d[2, 2] == 0.0
 
     def test_triangle_failure_rejected_at_load(self):
         text = "maxtsp v1 3 matrix\n0 1 3\n1 0 1\n3 1 0\n"
