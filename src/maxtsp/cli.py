@@ -170,47 +170,50 @@ def _cmd_bench(args, parser) -> int:
         parser.error(f"bad --n-list {args.n_list!r}")
     if not sizes:
         parser.error("empty --n-list")
+    if min(sizes) < 3:
+        parser.error(f"--n-list sizes must be at least 3, got {min(sizes)}")
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     name, _, param = args.solver.partition(":")
     if name not in SOLVER_SPECS:
         parser.error(f"unknown solver spec {args.solver!r}")
     run = _solver(name, param, args.dim, parser, f"--solver {SOLVER_SPECS[name]}")
     if args.dim is not None:
         check_dim(args.dim)
+    specs = [
+        GeneratorSpec(family=args.family, n=n, seed=seed, d=args.d, scale=args.scale)
+        for n in sizes
+        for seed in range(args.seeds)
+    ]
     columns = (
         "n seed weight_cover k_initial k_final weight_tour "
         "claimed_bound ratio_cover ratio_opt"
     )
     print(columns)
     sys.stdout.flush()
-    for n in sizes:
-        for seed in range(args.seeds):
-            spec = GeneratorSpec(
-                family=args.family, n=n, seed=seed, d=args.d, scale=args.scale
-            )
-            inst = generate(spec)
-            if args.dim is not None:
-                inst = inst.with_dim_hint(args.dim)
-            tour, cert = run(inst)
-            ratio_cover = (
-                tour.weight / cert.weight_cover if cert.weight_cover else None
-            )
-            ratio_opt = None
-            if n <= ORACLE_N_CAP:
-                opt = held_karp_max(inst)
-                ratio_opt = tour.weight / opt.weight if opt.weight else None
-            row = [
-                n,
-                seed,
-                cert.weight_cover,
-                cert.k_initial,
-                cert.k_after_gluing,
-                tour.weight,
-                cert.claimed_bound,
-                ratio_cover,
-                ratio_opt,
-            ]
-            print(" ".join(_fmt(v) for v in row))
-            sys.stdout.flush()
+    for spec in specs:
+        inst = generate(spec)
+        if args.dim is not None:
+            inst = inst.with_dim_hint(args.dim)
+        tour, cert = run(inst)
+        ratio_cover = tour.weight / cert.weight_cover if cert.weight_cover else None
+        ratio_opt = None
+        if spec.n <= ORACLE_N_CAP:
+            opt = held_karp_max(inst)
+            ratio_opt = tour.weight / opt.weight if opt.weight else None
+        row = [
+            spec.n,
+            spec.seed,
+            cert.weight_cover,
+            cert.k_initial,
+            cert.k_after_gluing,
+            tour.weight,
+            cert.claimed_bound,
+            ratio_cover,
+            ratio_opt,
+        ]
+        print(" ".join(_fmt(v) for v in row))
+        sys.stdout.flush()
     return 0
 
 

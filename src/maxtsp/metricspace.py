@@ -1,16 +1,16 @@
 """Instance representation, metric validation, generation, and file I/O.
 
-An :class:`Instance` is a complete weighted graph given by a symmetric
-n x n distance matrix.  Solvers in this package assume the matrix is a
-metric (triangle inequality within tolerance); :func:`validate_metric`
-produces a report, and :func:`load_instance` runs it for you.
-Instances are immutable after construction.
+An :class:`Instance` is a complete weighted graph given by an n x n
+distance matrix, symmetric by construction.  Solvers in this package
+assume it is a metric (triangle inequality within tolerance);
+:func:`validate_metric` produces a report, and :func:`load_instance`
+runs it for you.  Instances are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,9 +33,11 @@ class Instance:
 
     Attributes:
         n: vertex count (at least 3 for every solver entry point).
-        dist: read-only float64 array of shape (n, n), zero diagonal,
-            finite entries whose largest times n is finite too.
-        points: optional tuple of coordinate tuples the matrix came from.
+        dist: read-only float64 array of shape (n, n), exactly symmetric
+            (-0.0 and 0.0 count as equal), zero diagonal, finite
+            non-negative entries whose largest times n is finite too.
+        points: optional tuple of coordinate tuples the matrix came from,
+            all finite and all of one length, at least 1.
         norm: norm tag for the points ("euclidean", "manhattan", "chebyshev").
         dim_hint: optional doubling-dimension upper bound supplied by the
             generator or the caller, a non-negative number or inf.  Never
@@ -68,12 +70,18 @@ class Instance:
         if np.any(np.diagonal(arr) != 0):
             i = int(np.flatnonzero(np.diagonal(arr))[0])
             raise ValueError(f"nonzero diagonal at ({i}, {i}): {arr[i, i]}")
+        _check_symmetric(arr, 0.0)
         arr.setflags(write=False)
         self._dist = arr
         if points is not None:
             points = tuple(tuple(float(c) for c in p) for p in points)
             if len(points) != n:
                 raise ValueError(f"{len(points)} points for a {n}x{n} matrix")
+            dims = sorted({len(p) for p in points})
+            if len(dims) != 1 or dims[0] < 1:
+                raise ValueError(f"points must share one coordinate count >= 1, got {dims}")
+            if not all(math.isfinite(c) for p in points for c in p):
+                raise ValueError("points contain non-finite coordinates")
             if norm not in NORM_TAGS:
                 raise ValueError(f"unknown norm tag {norm!r}")
         self.points = points
@@ -112,7 +120,7 @@ class GeneratorSpec:
     n: point count, at least 3.
     d: coordinate dimension, euclidean family only.
     seed: RNG seed; generation is deterministic for a fixed spec.
-    scale: positive coordinate range.
+    scale: coordinate range, a positive finite number.
     """
 
     family: str
@@ -126,8 +134,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 3:
             raise ValueError(f"n must be >= 3, got {self.n}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:  # also rejects NaN
+            raise ValueError(f"scale must be a positive finite number, got {self.scale}")
         if self.family == "euclidean":
             if self.d is None or self.d < 1:
                 raise ValueError("euclidean family needs coordinate dimension d >= 1")
@@ -135,11 +143,10 @@ class GeneratorSpec:
 
 @dataclass
 class MetricReport:
-    """Result of :func:`validate_metric`.
+    """Result of :func:`validate_metric`, the triangle check.
 
-    symmetry_violations lists the first 10 (i, j, |d_ij - d_ji|) pairs
-    above tolerance in row-major order; symmetry_violation_count counts
-    them all.
+    Symmetry needs no report: every :class:`Instance` is symmetric, so
+    summary() states it as a constant line.
     max_triangle_violation is max over triples of d[i,j] - d[i,k] - d[k,j];
     a value <= tol means the triangle inequality holds within tolerance.
     worst_triple is the (i, j, k) attaining that maximum.
@@ -147,21 +154,12 @@ class MetricReport:
 
     n: int
     tol: float
-    symmetry_violations: list = field(default_factory=list)
-    symmetry_violation_count: int = 0
     max_triangle_violation: float = 0.0
     worst_triple: Optional[tuple] = None
     passed: bool = True
 
     def summary(self) -> str:
-        lines = [f"metric check: n={self.n} tol={self.tol!r}"]
-        if self.symmetry_violations:
-            for i, j, gap in self.symmetry_violations:
-                lines.append(f"  symmetry violation at ({i}, {j}): |d_ij - d_ji| = {gap!r}")
-            if self.symmetry_violation_count > 10:
-                lines.append(f"  ... {self.symmetry_violation_count - 10} more")
-        else:
-            lines.append("  symmetry: ok")
+        lines = [f"metric check: n={self.n} tol={self.tol!r}", "  symmetry: ok"]
         if self.worst_triple is not None:
             i, j, k = self.worst_triple
             lines.append(
@@ -175,6 +173,26 @@ class MetricReport:
 def _check_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("distance matrix contains non-finite entries")
+
+
+def _check_symmetric(dist: np.ndarray, tol: float) -> bool:
+    """Whether any pair of dist differs from its mirror image.
+
+    Raises ValueError naming the first pair i < j in row-major order with
+    |dist[i, j] - dist[j, i]| > tol.  The float gaps are built only when
+    some pair differs; -0.0 and 0.0 count as equal.
+    """
+    if not (dist != dist.T).any():
+        return False
+    over = np.abs(dist - dist.T) > tol
+    if over.any():
+        # over is symmetric, so its first entry in row-major order has i < j
+        i, j = divmod(int(np.argmax(over)), dist.shape[0])
+        raise ValueError(
+            f"symmetry violation at pair ({i}, {j}): "
+            f"dist[{i}][{j}]={dist[i, j]!r} vs dist[{j}][{i}]={dist[j, i]!r}"
+        )
+    return True
 
 
 def default_tol(dist: np.ndarray) -> float:
@@ -198,15 +216,15 @@ def check_dim(dim: float) -> float:
     return dim
 
 
-def _min_plus_square(d: np.ndarray, symmetric: bool) -> np.ndarray:
+def _min_plus_square(d: np.ndarray) -> np.ndarray:
     """S[i, j] = min over k of d[i, k] + d[k, j], in float64 arithmetic.
 
     Rows are filled in blocks of about _BLOCK_ENTRIES entries (one block
     of all n rows when d is smaller), with one add and one minimum per
-    (block, k) into buffers sized to the block and allocated up front.  On a
-    symmetric d, S is symmetric too (float addition commutes), so each
-    block fills only the columns from its first row onward and copies the
-    rest from the transpose of the blocks above it.
+    (block, k) into buffers sized to the block and allocated up front.  An
+    instance matrix is symmetric, so S is symmetric too (float addition
+    commutes): each block fills only the columns from its first row onward
+    and copies the rest from the transpose of the blocks above it.
     """
     n = d.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // n))
@@ -214,15 +232,13 @@ def _min_plus_square(d: np.ndarray, symmetric: bool) -> np.ndarray:
     scratch = np.empty(rows * n)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        c0 = r0 if symmetric else 0
-        block = s[r0:r1, c0:]
+        block = s[r0:r1, r0:]
         tmp = scratch[: block.size].reshape(block.shape)
-        np.add(d[r0:r1, :1], d[:1, c0:], out=block)
+        np.add(d[r0:r1, :1], d[:1, r0:], out=block)
         for k in range(1, n):
-            np.add(d[r0:r1, k : k + 1], d[k : k + 1, c0:], out=tmp)
+            np.add(d[r0:r1, k : k + 1], d[k : k + 1, r0:], out=tmp)
             np.minimum(block, tmp, out=block)
-        if symmetric:
-            s[r0:r1, :r0] = s[:r0, r0:r1].T
+        s[r0:r1, :r0] = s[:r0, r0:r1].T
     return s
 
 
@@ -256,8 +272,9 @@ def _first_worst_triple(d: np.ndarray, worst: float, rows: np.ndarray):
 
 
 def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport:
-    """Check symmetry and the triangle inequality within tolerance.
+    """Check the triangle inequality within tolerance.
 
+    The instance is symmetric already, so this is the whole metric check.
     tol is an absolute slack; when omitted it defaults to 1e-9 times the
     largest distance (0 on an all-zero matrix).  A NaN or negative tol
     raises ValueError; otherwise the report never raises and callers
@@ -273,33 +290,17 @@ def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport
     triple's own gap, so even the sign of a zero matches the loop.
     """
     d = inst.dist
-    n = inst.n
     tol = default_tol(d) if tol is None else check_tol(tol)
-    report = MetricReport(n=n, tol=tol)
-
-    asym = d - d.T
-    np.abs(asym, out=asym)
-    bad = np.triu(asym > tol, k=1)
-    report.symmetry_violation_count = int(np.count_nonzero(bad))
-    # the first 10 pairs lie in the first 10 rows holding any
-    bad_rows = np.flatnonzero(bad.any(axis=1))[:10]
-    for r, j in np.argwhere(bad[bad_rows])[:10]:
-        i = bad_rows[r]
-        report.symmetry_violations.append((int(i), int(j), float(asym[i, j])))
-    del bad
-    symmetric = not asym.any()
-    del asym
-
-    gaps = _min_plus_square(d, symmetric)
+    gaps = _min_plus_square(d)
     np.subtract(d, gaps, out=gaps)
     worst = gaps.max()
     rows = np.flatnonzero((gaps == worst).any(axis=1))
     del gaps
     worst, triple = _first_worst_triple(d, worst, rows)
-    report.max_triangle_violation = worst
-    report.worst_triple = triple
-    report.passed = not report.symmetry_violation_count and worst <= tol
-    return report
+    return MetricReport(
+        n=inst.n, tol=tol, max_triangle_violation=worst, worst_triple=triple,
+        passed=worst <= tol,
+    )
 
 
 def pairwise_distances(points: Sequence[Sequence[float]], norm: str) -> np.ndarray:
@@ -414,9 +415,7 @@ def dump_instance(inst: Instance) -> str:
     Points mode is used when coordinates are present, matrix mode otherwise.
     """
     if inst.points is not None:
-        dims = {len(p) for p in inst.points}
-        d = dims.pop()
-        lines = [f"maxtsp v1 {inst.n} points", f"norm {inst.norm} dim {d}"]
+        lines = [f"maxtsp v1 {inst.n} points", f"norm {inst.norm} dim {len(inst.points[0])}"]
         lines += [" ".join(repr(c) for c in p) for p in inst.points]
     else:
         lines = [f"maxtsp v1 {inst.n} matrix"]
@@ -428,8 +427,11 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
     """Parse the text format without the O(n^3) triangle check.
 
     Raises ValueError on malformed input, on n < 3, and, in matrix mode,
-    on an asymmetric pair above tolerance.  :func:`load_instance` adds
-    the full metric check.  A NaN or negative tol raises ValueError.
+    on an asymmetric pair above tolerance (by default 1e-9 times the
+    largest magnitude).  Asymmetry within tolerance is folded away by the
+    elementwise minimum of the matrix and its transpose, as
+    :func:`pairwise_distances` does.  :func:`load_instance` adds the
+    triangle check.  A NaN or negative tol raises ValueError.
     """
     sym_tol = None if tol is None else check_tol(tol)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -457,17 +459,12 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
         if any(len(r) != n for r in rows):
             raise ValueError(f"matrix rows must have {n} entries")
         dist = np.array(rows, dtype=np.float64)
+        del rows
         _check_finite(dist)
         if sym_tol is None:
             sym_tol = default_tol(np.abs(dist))
-        asym = np.abs(dist - dist.T)
-        bad = np.argwhere(np.triu(asym > sym_tol, k=1))
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            raise ValueError(
-                f"symmetry violation at pair ({i}, {j}): "
-                f"dist[{i}][{j}]={dist[i, j]!r} vs dist[{j}][{i}]={dist[j, i]!r}"
-            )
+        if _check_symmetric(dist, sym_tol):
+            dist = np.minimum(dist, dist.T)
         inst = Instance(dist)
     elif mode == "points":
         if len(lines) < 2:
@@ -499,10 +496,7 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
 
 
 def metric_violation(report: MetricReport) -> str:
-    """One-line description of a failed report's first violation."""
-    if report.symmetry_violations:
-        i, j, gap = report.symmetry_violations[0]
-        return f"symmetry violation at pair ({i}, {j}), magnitude {gap!r}"
+    """One-line description of a failed report's worst violation."""
     i, j, k = report.worst_triple
     return (
         f"triangle inequality violated by {report.max_triangle_violation!r} "
@@ -515,7 +509,7 @@ def load_instance(text: str, tol: Optional[float] = None) -> Instance:
 
     Raises ValueError on malformed input, on n < 3, and on any metric-axiom
     violation above tolerance (the message names the offending pair or
-    triple and the magnitude).
+    triple and, for a triple, the magnitude).
     """
     inst = parse_instance(text, tol)
     report = validate_metric(inst, tol)

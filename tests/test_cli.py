@@ -56,6 +56,16 @@ class TestGenerateValidate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ("inf", "nan", "0"))
+    def test_scale_must_be_positive_and_finite(self, tmp_path, capsys, scale):
+        out = tmp_path / "x.txt"
+        rc = main(["generate", "--family", "line", "--n", "5", "--seed", "0",
+                   "--scale", scale, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: scale must be a positive finite number, got {float(scale)}\n"
+        assert not out.exists()
+
     def test_validate_rejects_triangle_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text(
@@ -401,6 +411,31 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: could not convert string to float")
+
+    @pytest.mark.parametrize(
+        "n_list, seeds, message",
+        (("6", "0", "--seeds must be at least 1, got 0"),
+         ("6", "-2", "--seeds must be at least 1, got -2"),
+         ("6,2", "1", "--n-list sizes must be at least 3, got 2")),
+    )
+    def test_empty_or_too_small_grid_is_rejected_before_the_header(
+        self, capsys, n_list, seeds, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "line", "--n-list", n_list, "--seeds", seeds,
+                  "--solver", "exact"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    def test_infinite_scale_is_rejected_before_the_header(self, capsys):
+        rc = main(["bench", "--family", "line", "--n-list", "6", "--seeds", "1",
+                   "--solver", "exact", "--scale", "inf"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scale must be a positive finite number, got inf\n"
 
     def test_bad_n_list(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,8 @@ from maxtsp import (
     load_instance,
     validate_metric,
 )
-from maxtsp.metricspace import metric_violation, parse_instance, pairwise_distances
+from maxtsp import metricspace
+from maxtsp.metricspace import parse_instance, pairwise_distances
 
 from conftest import random_metric
 
@@ -61,19 +62,18 @@ def assert_matches_loop(inst, tol=None):
     worst, triple = loop_triangle_check(inst.dist)
     assert np.float64(rep.max_triangle_violation).tobytes() == np.float64(worst).tobytes()
     assert rep.worst_triple == triple
-    assert rep.passed == (not rep.symmetry_violations and worst <= rep.tol)
+    assert rep.passed == (worst <= rep.tol)
     return rep
 
 
 @st.composite
 def distance_matrices(draw):
-    """Square non-negative matrices with a zero diagonal: uniform or small
-    integer weights (many ties), distances between duplicated grid points,
-    or all zeros; symmetric or not; with or without off-diagonal -0.0
-    entries; scaled by 1e-12 to 1e12."""
+    """Symmetric non-negative matrices with a zero diagonal: uniform or
+    small integer weights (many ties), distances between duplicated grid
+    points, or all zeros; with or without off-diagonal -0.0 entries;
+    scaled by 1e-12 to 1e12."""
     n = draw(st.integers(min_value=3, max_value=40))
     kind = draw(st.sampled_from(["uniform", "small-int", "duplicate-points", "zero"]))
-    symmetric = draw(st.booleans())
     signed_zeros = draw(st.booleans())
     scale = 10.0 ** draw(st.integers(min_value=-12, max_value=12))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -85,9 +85,7 @@ def distance_matrices(draw):
         d = pairwise_distances(rng.integers(0, 3, size=(n, 2)), "euclidean")
     else:
         d = np.zeros((n, n))
-    if symmetric:
-        d = np.minimum(d, d.T)
-    d = d * scale
+    d = np.minimum(d, d.T) * scale
     if signed_zeros:
         d[d == 0.0] = -0.0
     np.fill_diagonal(d, 0.0)
@@ -134,6 +132,38 @@ class TestInstance:
             Instance((np.ones((5, 5)) - np.eye(5)) * 1e308)
         Instance((np.ones((5, 5)) - np.eye(5)) * (sys.float_info.max / 5))
 
+    @pytest.mark.parametrize("pairs", [0, 1, 9, 10, 11, 500])
+    def test_rejects_asymmetry_naming_the_first_pair(self, pairs):
+        n = 40
+        rng = np.random.default_rng(pairs)
+        d = random_metric(n, pairs).dist.copy()
+        upper = np.transpose(np.triu_indices(n, 1))
+        for i, j in upper[rng.choice(len(upper), size=pairs, replace=False)]:
+            # one ulp up, half the pairs skewed below the diagonal
+            if rng.integers(2):
+                i, j = j, i
+            d[i, j] = np.nextafter(d[i, j], math.inf)
+        every = loop_symmetry_pairs(d, 0.0)
+        assert len(every) == pairs
+        if not pairs:
+            assert np.array_equal(Instance(d).dist, d)
+            return
+        i, j, _ = every[0]
+        with pytest.raises(ValueError, match=rf"symmetry violation at pair \({i}, {j}\): "):
+            Instance(d)
+
+    def test_signed_zeros_count_as_symmetric(self):
+        d = np.array([[0.0, -0.0, 1.0], [0.0, -0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert validate_metric(Instance(d), tol=0.0).passed
+
+    def test_points_share_one_finite_coordinate_count(self):
+        d = pairwise_distances([(0.0,), (1.0,), (3.0,)], "euclidean")
+        for points in ([(0.0,), (1.0, 2.0), (3.0,)], [(), (), ()]):
+            with pytest.raises(ValueError, match="one coordinate count"):
+                Instance(d, points=points, norm="euclidean")
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance(d, points=[(0.0,), (math.nan,), (3.0,)], norm="euclidean")
+
     def test_dim_hint_may_be_zero_or_inf(self):
         assert Instance(np.zeros((3, 3)), dim_hint=0).dim_hint == 0.0
         assert equilateral(4).with_dim_hint(math.inf).dim_hint == math.inf
@@ -145,7 +175,7 @@ class TestValidateMetric:
         rep = validate_metric(equilateral(5))
         assert rep.passed
         assert rep.max_triangle_violation <= 0.0
-        assert not rep.symmetry_violations
+        assert "  symmetry: ok" in rep.summary().splitlines()
 
     def test_triangle_violation_located(self):
         # 3 > 1 + 1: the path 0-1-2 undercuts the direct edge 0-2
@@ -175,19 +205,19 @@ class TestValidateMetric:
         inst = generate(GeneratorSpec(family="euclidean", n=300, d=2, seed=4))
         assert assert_matches_loop(inst, tol=0.0).passed
 
-    def test_several_blocks_asymmetric(self):
-        d = np.random.default_rng(8).uniform(0.0, 1.0, size=(290, 290))
-        np.fill_diagonal(d, 0.0)
-        rep = assert_matches_loop(Instance(d))
-        assert rep.symmetry_violations and not rep.passed
-
     def test_several_blocks_many_tied_rows(self):
         # integer weights 0..3 tie on thousands of worst pairs, so the
         # triple is recovered over more than one block of candidate rows
-        d = np.random.default_rng(9).integers(0, 4, size=(300, 300)).astype(float)
+        n = 300
+        d = np.random.default_rng(9).integers(0, 4, size=(n, n)).astype(float)
+        d = np.minimum(d, d.T)
         np.fill_diagonal(d, 0.0)
         rep = assert_matches_loop(Instance(d))
         assert rep.max_triangle_violation == 3.0
+        tied = np.zeros((n, n), dtype=bool)
+        for k in range(n):
+            tied |= d - (d[:, k : k + 1] + d[k : k + 1, :]) == 3.0
+        assert tied.any(axis=1).sum() > metricspace._BLOCK_ENTRIES // n
 
     def test_several_blocks_injected_violation(self):
         inst = generate(GeneratorSpec(family="line", n=270, seed=6))
@@ -237,51 +267,6 @@ class TestValidateMetric:
             tracemalloc.stop()
         assert peak <= 3.5 * n * n * 8
 
-    def test_asymmetric_memory_peak_stays_near_one_matrix(self):
-        # every pair of a uniform matrix is asymmetric; the report keeps
-        # ten of them and a count, not a list of all 180k
-        n = 600
-        d = np.random.default_rng(5).uniform(1.0, 2.0, size=(n, n))
-        np.fill_diagonal(d, 0.0)
-        inst = Instance(d)
-        tracemalloc.start()
-        try:
-            rep = validate_metric(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.symmetry_violation_count == n * (n - 1) // 2
-        assert peak <= 3.5 * n * n * 8
-
-    @pytest.mark.parametrize("pairs", [0, 1, 9, 10, 11, 500])
-    def test_symmetry_report_keeps_the_first_ten_and_a_count(self, pairs):
-        n = 40
-        rng = np.random.default_rng(pairs)
-        d = random_metric(n, pairs).dist.copy()
-        upper = np.transpose(np.triu_indices(n, 1))
-        for i, j in upper[rng.choice(len(upper), size=pairs, replace=False)]:
-            # half the pairs skewed below the diagonal
-            if rng.integers(2):
-                i, j = j, i
-            d[i, j] += rng.uniform(0.01, 0.1)
-        rep = validate_metric(Instance(d))
-        every = loop_symmetry_pairs(d, rep.tol)
-        assert rep.symmetry_violation_count == len(every) == pairs
-        assert rep.symmetry_violations == every[:10]
-        lines = rep.summary().splitlines()
-        listed = [ln for ln in lines if "symmetry violation at" in ln]
-        assert listed == [
-            f"  symmetry violation at ({i}, {j}): |d_ij - d_ji| = {gap!r}"
-            for i, j, gap in every[:10]
-        ]
-        more = [ln for ln in lines if ln.endswith(" more")]
-        assert more == ([f"  ... {pairs - 10} more"] if pairs > 10 else [])
-        if pairs:
-            i, j, gap = every[0]
-            assert metric_violation(rep) == (
-                f"symmetry violation at pair ({i}, {j}), magnitude {gap!r}"
-            )
-
     def test_small_matrix_buffers_fit_the_matrix(self):
         # every solve request validates its instance, at n of a few dozen;
         # block buffers of the full block size would cost about 0.6 MB there
@@ -327,8 +312,9 @@ class TestGenerate:
             GeneratorSpec(family="line", n=2, seed=0)
         with pytest.raises(ValueError):
             GeneratorSpec(family="euclidean", n=5, seed=0)
-        with pytest.raises(ValueError):
-            GeneratorSpec(family="line", n=5, seed=0, scale=0.0)
+        for scale in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive finite"):
+                GeneratorSpec(family="line", n=5, seed=0, scale=scale)
 
 
 class TestEstimateDoubling:
@@ -367,6 +353,17 @@ class TestFileFormat:
         text = "maxtsp v1 3 matrix\n0 1 1\n2 0 1\n1 1 0\n"
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             load_instance(text)
+
+    def test_asymmetry_within_tolerance_folds_to_the_minimum(self):
+        d = random_metric(9, 4).dist.copy()
+        d[2, 7] *= 1 + 1e-12
+        d[5, 1] *= 1 - 1e-12
+        text = "maxtsp v1 9 matrix\n" + "".join(
+            " ".join(repr(float(x)) for x in row) + "\n" for row in d
+        )
+        assert np.array_equal(load_instance(text).dist, np.minimum(d, d.T))
+        with pytest.raises(ValueError, match=r"symmetry violation at pair \(1, 5\)"):
+            load_instance(text, tol=0.0)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
