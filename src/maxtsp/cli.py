@@ -9,12 +9,13 @@ import sys
 from typing import Optional
 
 from .corealgo import algorithm_A
-from .driver import asymptotic, eptas
-from .exact import HELD_KARP_CAP, exact_dp, held_karp_max
+from .driver import asymptotic, eptas, eptas_plan
+from .exact import HELD_KARP_CAP, check_dp_size, exact_dp, held_karp_max
 from .merge import kostochka_serdyukov_56
 from .metricspace import (
     FAMILIES,
     GeneratorSpec,
+    check_delta,
     check_dim,
     check_tol,
     dump_instance,
@@ -83,14 +84,17 @@ def _solver(name: str, param, dim: Optional[float], parser, flag: str):
 
     param is the delta of algoA or the epsilon of eptas, as given on the
     command line; the other solvers ignore it.  flag names the solver in
-    the error raised when it needs --dim and has none.
+    the error raised when it needs --dim and has none; any dim given must
+    be non-negative, whatever the solver.
     """
     if name in ("algoA", "eptas"):
         param = float(param)
     if name in ("eptas", "asymptotic") and dim is None:
         parser.error(f"{flag} requires --dim")
+    if dim is not None:
+        check_dim(dim)
     if name == "algoA":
-        return lambda inst: algorithm_A(inst, param)
+        return lambda inst: algorithm_A(inst, param, dim)
     if name == "eptas":
         return lambda inst: eptas(inst, param, dim)
     if name == "asymptotic":
@@ -102,7 +106,7 @@ def _solver(name: str, param, dim: Optional[float], parser, flag: str):
 
 def _cmd_solve(args, parser) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        inst = load_instance(fh.read()).with_dim_hint(args.dim)
+        inst = load_instance(fh.read())
     for name in SOLVER_SPECS:
         param = getattr(args, name.replace("-", "_"))
         if param is not None and param is not False:
@@ -178,13 +182,19 @@ def _cmd_bench(args, parser) -> int:
     if name not in SOLVER_SPECS:
         parser.error(f"unknown solver spec {args.solver!r}")
     run = _solver(name, param, args.dim, parser, f"--solver {SOLVER_SPECS[name]}")
-    if args.dim is not None:
-        check_dim(args.dim)
     specs = [
         GeneratorSpec(family=args.family, n=n, seed=seed, d=args.d, scale=args.scale)
         for n in sizes
         for seed in range(args.seeds)
     ]
+    # the solver's own range errors, raised before any output
+    if name == "algoA":
+        check_delta(float(param))
+    elif name == "eptas":
+        eptas_plan(sizes[0], float(param), args.dim)
+    elif name == "exact":
+        for n in sizes:
+            check_dp_size(n)
     columns = (
         "n seed weight_cover k_initial k_final weight_tour "
         "claimed_bound ratio_cover ratio_opt"
@@ -193,8 +203,6 @@ def _cmd_bench(args, parser) -> int:
     sys.stdout.flush()
     for spec in specs:
         inst = generate(spec)
-        if args.dim is not None:
-            inst = inst.with_dim_hint(args.dim)
         tour, cert = run(inst)
         ratio_cover = tour.weight / cert.weight_cover if cert.weight_cover else None
         ratio_opt = None

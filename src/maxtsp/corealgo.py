@@ -30,7 +30,7 @@ from .cyclecover import (
     splice,
 )
 from .merge import serdyukov_combine
-from .metricspace import Instance
+from .metricspace import Instance, check_delta, check_dim
 
 # Slack for the gluing feasibility comparison, scaled by the largest
 # distance; keeps a run from flapping on float-boundary ties.
@@ -86,8 +86,7 @@ def try_delta_gluing(
     the merged cycle (see :func:`splice`) is returned, otherwise None.
     Ties between the two pairs go to the first pattern.
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_delta(delta)
     if set(c1) & set(c2):
         raise ValueError("cycles share vertices")
     d = inst.dist
@@ -106,11 +105,9 @@ def try_delta_gluing(
 
 def make_gluing_state(inst: Instance, cover: CycleCover, delta: float) -> GluingState:
     """Initial loop state for a cover, with its removable pool."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
     return GluingState(
         inst=inst,
-        delta=float(delta),
+        delta=check_delta(delta),
         cycles=[list(c) for c in cover.cycles],
         e0_per_cycle=select_E0(inst, cover),
     )
@@ -166,8 +163,8 @@ def gluing_loop(inst: Instance, cover: CycleCover, delta: float) -> CycleCover:
     each merge loses at most delta times the removed pool weight, pool
     edges are removed at most once, and the whole pool weighs at most 2/3
     of the cover.  When the instance's true doubling dimension is at most
-    dim, the terminal cycle count is at most (2/delta)^(2*dim) / 2; with
-    an unreliable dim_hint the count is still logged but not bounded.
+    dim, the terminal cycle count is at most (2/delta)^(2*dim) / 2; the
+    weight guarantee needs no dim at all.
     """
     state = make_gluing_state(inst, cover, delta)
     while glue_once(state):
@@ -198,16 +195,19 @@ def r_tau(inst: Instance, selected: Sequence[Edge]) -> float:
     return radius
 
 
-def algorithm_A(inst: Instance, delta: float) -> Tuple[Tour, Certificate]:
+def algorithm_A(
+    inst: Instance, delta: float, dim: Optional[float] = None
+) -> Tuple[Tour, Certificate]:
     """Full pipeline: maximum cover, gluing loop, patch into a tour.
 
     The certificate's claimed_bound is 1 - (2/3)*delta - k_final/n, the
     cover-relative chain bound, which also bounds the ratio against the
     optimum because the maximum cover outweighs every tour.  It is
-    positive for every valid input: k_final <= n/3 and delta < 1.
+    positive for every valid input: k_final <= n/3 and delta < 1.  It
+    needs no dimension bound; dim (None, or non-negative) is only recorded.
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    delta = check_delta(delta)
+    dim = None if dim is None else check_dim(dim)
     cover = max_weight_cycle_cover(inst)
     glued = gluing_loop(inst, cover, delta)
     tour = serdyukov_combine(inst, glued)
@@ -217,8 +217,8 @@ def algorithm_A(inst: Instance, delta: float) -> Tuple[Tour, Certificate]:
         weight_tour=tour.weight,
         claimed_bound=bound,
         certified=True,
-        delta=float(delta),
-        dim=inst.dim_hint,
+        delta=delta,
+        dim=dim,
         k_initial=cover.k,
         k_after_gluing=glued.k,
         weight_cover=cover.weight,

@@ -27,7 +27,7 @@ from .corealgo import algorithm_A
 from .cyclecover import Tour
 from .exact import HELD_KARP_CAP, exact_dp
 from .merge import kostochka_serdyukov_56
-from .metricspace import Instance, check_dim
+from .metricspace import Instance, check_delta, check_dim
 
 FALLBACK_EPSILON = 1.0 / 6.0
 
@@ -40,8 +40,7 @@ def eptas_plan(n: int, epsilon: float, dim: float) -> Tuple[str, float, float]:
     The returned branch is the prescribed one; the DP cap is applied
     later, in :func:`eptas` itself.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_delta(epsilon, "epsilon")
     check_dim(dim)
     if epsilon >= FALLBACK_EPSILON:
         return "five-sixths", float("nan"), float("nan")

@@ -22,6 +22,12 @@ HELD_KARP_CAP = 20
 BRUTE_FORCE_TOUR_CAP = 10
 
 
+def check_dp_size(n: int) -> None:
+    """ValueError when n is above the Held-Karp cap."""
+    if n > HELD_KARP_CAP:
+        raise ValueError(f"exact DP capped at {HELD_KARP_CAP} vertices, got {n}")
+
+
 def held_karp_max(inst: Instance) -> Tour:
     """Maximum-weight tour by dynamic programming over (visited, last) states.
 
@@ -36,8 +42,7 @@ def held_karp_max(inst: Instance) -> Tour:
     capped at 20; callers needing larger n must accept an approximation.
     """
     n = inst.n
-    if n > HELD_KARP_CAP:
-        raise ValueError(f"exact DP capped at {HELD_KARP_CAP} vertices, got {n}")
+    check_dp_size(n)
     d = inst.dist
     m = n - 1
     inner = d[1:, 1:]

@@ -29,31 +29,23 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 class Instance:
-    """A complete weighted graph on n points with a symmetric distance matrix.
+    """The metric: a complete weighted graph with a symmetric distance matrix.
+
+    ``Instance(dist)`` takes the matrix alone; :meth:`from_points` derives
+    it from coordinates.  A doubling-dimension bound goes to the solvers.
 
     Attributes:
         n: vertex count (at least 3 for every solver entry point).
         dist: read-only float64 array of shape (n, n), exactly symmetric
             (-0.0 and 0.0 count as equal), zero diagonal, finite
             non-negative entries whose largest times n is finite too.
-        points: optional tuple of coordinate tuples the matrix came from,
-            all finite and all of one length, at least 1.
-        norm: norm tag for the points ("euclidean", "manhattan", "chebyshev").
-        dim_hint: optional doubling-dimension upper bound supplied by the
-            generator or the caller, a non-negative number or inf.  Never
-            inferred; bound-certifying code treats every
-            dimension-dependent guarantee as conditional on it.
+        points: the coordinate tuples dist was computed from, or None.
+        norm: their norm tag (one of NORM_TAGS), or None.
     """
 
-    __slots__ = ("_dist", "points", "norm", "dim_hint")
+    __slots__ = ("_dist", "points", "norm")
 
-    def __init__(
-        self,
-        dist: np.ndarray,
-        points: Optional[Sequence[Sequence[float]]] = None,
-        norm: Optional[str] = None,
-        dim_hint: Optional[float] = None,
-    ):
+    def __init__(self, dist: np.ndarray):
         arr = np.array(dist, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {arr.shape}")
@@ -73,20 +65,22 @@ class Instance:
         _check_symmetric(arr, 0.0)
         arr.setflags(write=False)
         self._dist = arr
-        if points is not None:
-            points = tuple(tuple(float(c) for c in p) for p in points)
-            if len(points) != n:
-                raise ValueError(f"{len(points)} points for a {n}x{n} matrix")
-            dims = sorted({len(p) for p in points})
-            if len(dims) != 1 or dims[0] < 1:
-                raise ValueError(f"points must share one coordinate count >= 1, got {dims}")
-            if not all(math.isfinite(c) for p in points for c in p):
-                raise ValueError("points contain non-finite coordinates")
-            if norm not in NORM_TAGS:
-                raise ValueError(f"unknown norm tag {norm!r}")
-        self.points = points
-        self.norm = norm if points is not None else None
-        self.dim_hint = None if dim_hint is None else check_dim(dim_hint)
+        self.points = self.norm = None
+
+    @classmethod
+    def from_points(cls, points: Sequence[Sequence[float]], norm: str) -> "Instance":
+        """The instance whose matrix is :func:`pairwise_distances` of points,
+        which must be finite and share one coordinate count, at least 1.
+        """
+        points = tuple(tuple(float(c) for c in p) for p in points)
+        dims = sorted({len(p) for p in points})
+        if len(dims) != 1 or dims[0] < 1:
+            raise ValueError(f"points must share one coordinate count >= 1, got {dims}")
+        if not all(math.isfinite(c) for p in points for c in p):
+            raise ValueError("points contain non-finite coordinates")
+        inst = cls(pairwise_distances(points, norm))
+        inst.points, inst.norm = points, norm
+        return inst
 
     @property
     def n(self) -> int:
@@ -99,17 +93,8 @@ class Instance:
     def max_dist(self) -> float:
         return float(self._dist.max())
 
-    def with_dim_hint(self, dim_hint: Optional[float]) -> "Instance":
-        """Return a copy of this instance carrying a different dim_hint."""
-        inst = Instance.__new__(Instance)
-        inst._dist = self._dist
-        inst.points = self.points
-        inst.norm = self.norm
-        inst.dim_hint = None if dim_hint is None else check_dim(dim_hint)
-        return inst
-
     def __repr__(self) -> str:
-        return f"Instance(n={self.n}, norm={self.norm}, dim_hint={self.dim_hint})"
+        return f"Instance(n={self.n}, norm={self.norm})"
 
 
 @dataclass(frozen=True)
@@ -190,7 +175,7 @@ def _check_symmetric(dist: np.ndarray, tol: float) -> bool:
         i, j = divmod(int(np.argmax(over)), dist.shape[0])
         raise ValueError(
             f"symmetry violation at pair ({i}, {j}): "
-            f"dist[{i}][{j}]={dist[i, j]!r} vs dist[{j}][{i}]={dist[j, i]!r}"
+            f"dist[{i}][{j}]={float(dist[i, j])!r} vs dist[{j}][{i}]={float(dist[j, i])!r}"
         )
     return True
 
@@ -216,15 +201,22 @@ def check_dim(dim: float) -> float:
     return dim
 
 
+def check_delta(delta: float, name: str = "delta") -> float:
+    """delta as a float; ValueError, naming it name, unless 0 < delta < 1."""
+    if not 0.0 < delta < 1.0:  # also rejects NaN
+        raise ValueError(f"{name} must be in (0, 1), got {delta}")
+    return float(delta)
+
+
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
     """S[i, j] = min over k of d[i, k] + d[k, j], in float64 arithmetic.
 
     Rows are filled in blocks of about _BLOCK_ENTRIES entries (one block
     of all n rows when d is smaller), with one add and one minimum per
-    (block, k) into buffers sized to the block and allocated up front.  An
-    instance matrix is symmetric, so S is symmetric too (float addition
-    commutes): each block fills only the columns from its first row onward
-    and copies the rest from the transpose of the blocks above it.
+    (block, k) into buffers sized to the block and allocated up front.  d
+    must be exactly symmetric, as an instance matrix is; then so is S (float
+    addition commutes), so each block fills only the columns from its first
+    row onward and copies the rest from the transpose of the blocks above.
     """
     n = d.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // n))
@@ -328,45 +320,34 @@ def pairwise_distances(points: Sequence[Sequence[float]], norm: str) -> np.ndarr
 
 
 def _closure(raw: np.ndarray) -> np.ndarray:
-    """Shortest-path closure; repeats sweeps until a float fixed point.
+    """Shortest-path closure of a symmetric matrix with a zero diagonal.
 
-    At the fixed point d[i,j] <= d[i,k] + d[k,j] holds under exact float
-    comparison for every triple, so the result validates at tol = 0.
+    Min-plus squares raw until no entry drops, a float fixed point that
+    validates at tol = 0.  That is the greatest matrix <= raw closed under
+    rounded addition, as Floyd-Warshall sweeps to a fixed point also give:
+    rounding is monotone, so each such matrix stays below every iterate.
     """
-    d = raw.copy()
-    n = d.shape[0]
-    for _ in range(n):
-        before = d.copy()
-        for k in range(n):
-            np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
-        if np.array_equal(before, d):
-            break
-    return d
+    d = raw
+    while True:
+        s = _min_plus_square(d)
+        if not (s < d).any():
+            return d
+        d = s
 
 
 def generate(spec: GeneratorSpec) -> Instance:
     """Build a deterministic random instance of the requested family.
 
-    line: collinear points, dim_hint 1 (a half-length interval around any
-    point covers each half of any interval, so the doubling bound is exact).
-    euclidean: uniform points in [0, scale]^d, dim_hint ceil(2.3*d + 1),
-    a documented safe upper bound used only for diagnostics.
-    random-metric: symmetric uniform weights repaired by shortest-path
-    closure; no dim_hint.
+    line: uniform points in [0, scale] (doubling dimension 1: a
+    half-length interval around any point covers each half of any
+    interval).  euclidean: uniform points in [0, scale]^d.  Both carry
+    their points, under the euclidean norm.  random-metric: symmetric
+    uniform weights repaired by shortest-path closure.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.family == "line":
-        xs = rng.uniform(0.0, spec.scale, size=spec.n)
-        points = [(float(x),) for x in xs]
-        dist = pairwise_distances(points, "euclidean")
-        return Instance(dist, points=points, norm="euclidean", dim_hint=1.0)
-    if spec.family == "euclidean":
-        pts = rng.uniform(0.0, spec.scale, size=(spec.n, spec.d))
-        points = [tuple(float(c) for c in row) for row in pts]
-        dist = pairwise_distances(points, "euclidean")
-        return Instance(
-            dist, points=points, norm="euclidean", dim_hint=float(math.ceil(2.3 * spec.d + 1))
-        )
+    if spec.family != "random-metric":
+        d = 1 if spec.family == "line" else spec.d
+        return Instance.from_points(rng.uniform(0.0, spec.scale, size=(spec.n, d)), "euclidean")
     # random-metric
     raw = rng.uniform(0.1 * spec.scale, spec.scale, size=(spec.n, spec.n))
     raw = (raw + raw.T) / 2.0
@@ -489,7 +470,7 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
         if any(len(p) != d for p in pts):
             raise ValueError(f"point rows must have {d} coordinates")
         _check_finite(np.array(pts))
-        inst = Instance(pairwise_distances(pts, norm), points=pts, norm=norm)
+        inst = Instance.from_points(pts, norm)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return inst

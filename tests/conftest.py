@@ -15,6 +15,8 @@ import numpy as np
 from maxtsp import CycleCover, GeneratorSpec, Instance, generate
 from maxtsp.matching import WeightedGraph
 
+from oracles import floyd_warshall_closure
+
 
 def random_metric(n: int, seed: int) -> Instance:
     return generate(GeneratorSpec(family="random-metric", n=n, seed=seed))
@@ -34,14 +36,7 @@ def integer_metric(n: int, seed: int, high: int = 50) -> Instance:
     raw = rng.integers(1, high, size=(n, n)).astype(np.float64)
     raw = np.minimum(raw, raw.T)
     np.fill_diagonal(raw, 0.0)
-    d = raw.copy()
-    for _ in range(n):
-        before = d.copy()
-        for k in range(n):
-            np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
-        if np.array_equal(before, d):
-            break
-    return Instance(d)
+    return Instance(floyd_warshall_closure(raw))
 
 
 def pm_graph(rng: np.random.Generator, nv: int, integer: bool = True) -> WeightedGraph:

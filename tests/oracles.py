@@ -1,7 +1,8 @@
 """Brute-force oracles the tests check the package against.
 
-Perfect matchings by enumeration, for the blossom engine, and the gadget
-encoding of a known cover, for the cover decoder.  None of this is on
+Perfect matchings by enumeration, for the blossom engine, the gadget
+encoding of a known cover, for the cover decoder, and Floyd-Warshall
+sweeps, for the random-metric closure.  None of this is on
 the solve path; the brute-force cover and tour that the gates also use
 live in the package itself (cycle_cover_brute_force, brute_force_tour).
 """
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from maxtsp.cyclecover import CycleCover
 from maxtsp.matching import Matching, WeightedGraph
@@ -92,6 +95,19 @@ def matching_brute_force(g: WeightedGraph) -> Matching:
     if best is None:
         raise ValueError("no perfect matching exists")
     return best
+
+
+def floyd_warshall_closure(raw: np.ndarray) -> np.ndarray:
+    """Shortest-path closure by Floyd-Warshall sweeps, repeated until a
+    sweep changes nothing: the float fixed point, where every triple
+    meets the triangle inequality exactly."""
+    d = raw.copy()
+    while True:
+        before = d.copy()
+        for k in range(d.shape[0]):
+            np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+        if np.array_equal(before, d):
+            return d
 
 
 def complete_graph(num_vertices: int, weight_fn) -> WeightedGraph:

@@ -154,19 +154,20 @@ def test_criterion_05_pipeline_chain_bound(capsys):
         for delta in (0.2, 0.3, 0.5, 0.8):
             n = 6 + counter % 7
             counter += 1
-            runs.append((random_metric(n, 31 * seed + counter), delta))
+            runs.append((random_metric(n, 31 * seed + counter), delta, None))
+    # a line has doubling dimension 1
     for n in (15, 21):
         for delta in (0.2, 0.5):
-            runs.append((line_instance(n, seed=n), delta))
+            runs.append((line_instance(n, seed=n), delta, 1.0))
     closed_checked = 0
-    for inst, delta in runs:
-        tour, cert = algorithm_A(inst, delta)
+    for inst, delta, dim in runs:
+        tour, cert = algorithm_A(inst, delta, dim)
         chain = 1.0 - (2.0 / 3.0) * delta - cert.k_after_gluing / inst.n
         slack = 1e-9 * cert.weight_cover
         assert cert.claimed_bound == pytest.approx(chain, rel=1e-12)
         assert tour.weight >= chain * cert.weight_cover - slack, (inst.n, delta)
-        if inst.dim_hint is not None:
-            k_cap = (2.0 / delta) ** (2.0 * inst.dim_hint) / 2.0
+        if dim is not None:
+            k_cap = (2.0 / delta) ** (2.0 * dim) / 2.0
             closed = 1.0 - (2.0 / 3.0) * delta - k_cap / inst.n
             if closed > 0:
                 assert tour.weight >= closed * cert.weight_cover - slack

@@ -224,6 +224,17 @@ class TestSolve:
             main(["solve", path, "--exact", "--bogus"])
         assert exc.value.code == 2
 
+    def test_asymmetric_file_message(self, tmp_path, capsys):
+        path = tmp_path / "asym.txt"
+        path.write_text("maxtsp v1 3 matrix\n0 1 1\n1.5 0 1\n1 1 0\n", encoding="utf-8")
+        message = "symmetry violation at pair (0, 1): dist[0][1]=1.0 vs dist[1][0]=1.5"
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
+        assert main(["solve", str(path), "--algoA", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_delta_reports_error(self, tmp_path, capsys):
         path = write_instance(tmp_path, equilateral(5))
         rc = main(["solve", path, "--algoA", "1.5"])
@@ -436,6 +447,24 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: scale must be a positive finite number, got inf\n"
+
+    @pytest.mark.parametrize(
+        "n_list, spec, dim, message",
+        (("6", "algoA:2", None, "delta must be in (0, 1), got 2.0"),
+         ("6", "algoA:nan", None, "delta must be in (0, 1), got nan"),
+         ("6", "eptas:1.5", "1", "epsilon must be in (0, 1), got 1.5"),
+         ("6,25,30", "exact", None, "exact DP capped at 20 vertices, got 25")),
+    )
+    def test_out_of_range_parameter_is_rejected_before_the_header(
+        self, capsys, n_list, spec, dim, message
+    ):
+        dim_flags = [] if dim is None else ["--dim", dim]
+        rc = main(["bench", "--family", "line", "--n-list", n_list, "--seeds", "1",
+                   "--solver", spec, *dim_flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_bad_n_list(self, capsys):
         with pytest.raises(SystemExit) as exc:

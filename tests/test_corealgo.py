@@ -1,5 +1,7 @@
 """Removable-pool selection, gluing loop, diagnostics, full pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,17 @@ class TestAlgorithmA:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):
             algorithm_A(random_metric(5, 0), 1.0)
+
+    @pytest.mark.parametrize("dim", (None, 0, 2.0, math.inf))
+    def test_records_dim(self, dim):
+        _, cert = algorithm_A(random_metric(6, 1), 0.5, dim)
+        assert cert.dim == dim
+        assert cert.dim is None or isinstance(cert.dim, float)
+
+    @pytest.mark.parametrize("dim", (math.nan, -1.0, -math.inf))
+    def test_dim_must_be_non_negative(self, dim):
+        with pytest.raises(ValueError, match="dim must be non-negative"):
+            algorithm_A(random_metric(6, 1), 0.5, dim)
 
 
 def test_open_cycle_at_orientation():

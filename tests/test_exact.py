@@ -15,7 +15,6 @@ from maxtsp import (
 )
 from maxtsp.cyclecover import cycle_weight
 from maxtsp.exact import BRUTE_FORCE_TOUR_CAP, HELD_KARP_CAP, brute_force_tour
-from maxtsp.metricspace import pairwise_distances
 
 from conftest import random_metric
 
@@ -44,7 +43,7 @@ def duplicate_points(n, seed):
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.0, 1.0, size=((n + 1) // 2, 2))
     pts = np.concatenate([base, base])[:n]
-    return Instance(pairwise_distances(pts, "euclidean"), points=pts, norm="euclidean")
+    return Instance.from_points(pts, "euclidean")
 
 
 TIE_HEAVY = {

@@ -22,6 +22,7 @@ from maxtsp import metricspace
 from maxtsp.metricspace import parse_instance, pairwise_distances
 
 from conftest import random_metric
+from oracles import floyd_warshall_closure
 
 
 def equilateral(n):
@@ -92,6 +93,30 @@ def distance_matrices(draw):
     return d
 
 
+@st.composite
+def raw_metrics(draw):
+    """Raw matrices as the random-metric generator closes them: exactly
+    symmetric with a zero diagonal, off-diagonal entries uniform, small
+    integers, exponential, or uniform with a share of zeros; scaled by
+    1e-12 to 1e12."""
+    n = draw(st.integers(min_value=3, max_value=40))
+    kind = draw(st.sampled_from(["uniform", "small-int", "exponential", "zeros"]))
+    scale = 10.0 ** draw(st.integers(min_value=-12, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "small-int":
+        raw = rng.integers(0, 5, size=(n, n)).astype(float)
+    elif kind == "exponential":
+        raw = rng.exponential(size=(n, n))
+    else:
+        raw = rng.uniform(0.1, 1.0, size=(n, n))
+    raw = (raw + raw.T) / 2.0 * scale
+    if kind == "zeros":
+        zero = rng.uniform(size=(n, n)) < 0.2
+        raw[zero | zero.T] = 0.0
+    np.fill_diagonal(raw, 0.0)
+    return raw
+
+
 class TestInstance:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -113,19 +138,12 @@ class TestInstance:
         with pytest.raises(ValueError):
             inst.dist[0, 1] = 7.0
 
-    def test_with_dim_hint(self):
+    def test_takes_the_matrix_alone(self):
         inst = equilateral(4)
-        other = inst.with_dim_hint(2.5)
-        assert inst.dim_hint is None
-        assert other.dim_hint == 2.5
-        assert other.dist is inst.dist
-
-    @pytest.mark.parametrize("dim", (math.nan, -1.0, -math.inf))
-    def test_dim_hint_must_be_non_negative(self, dim):
-        with pytest.raises(ValueError, match="dim must be non-negative"):
-            Instance(np.zeros((3, 3)), dim_hint=dim)
-        with pytest.raises(ValueError, match="dim must be non-negative"):
-            equilateral(4).with_dim_hint(dim)
+        assert inst.points is None and inst.norm is None
+        assert Instance.__slots__ == ("_dist", "points", "norm")
+        with pytest.raises(TypeError):
+            Instance(inst.dist, points=[(0.0,), (1.0,), (2.0,), (3.0,)])
 
     def test_rejects_a_scale_whose_tour_weight_overflows(self):
         with pytest.raises(ValueError, match="distances too large"):
@@ -152,22 +170,29 @@ class TestInstance:
         with pytest.raises(ValueError, match=rf"symmetry violation at pair \({i}, {j}\): "):
             Instance(d)
 
+    def test_symmetry_message_prints_plain_floats(self):
+        d = np.ones((3, 3)) - np.eye(3)
+        d[1, 0] = 1.5
+        with pytest.raises(ValueError) as exc:
+            Instance(d)
+        assert str(exc.value) == (
+            "symmetry violation at pair (0, 1): dist[0][1]=1.0 vs dist[1][0]=1.5"
+        )
+
     def test_signed_zeros_count_as_symmetric(self):
         d = np.array([[0.0, -0.0, 1.0], [0.0, -0.0, 1.0], [1.0, 1.0, 0.0]])
         assert validate_metric(Instance(d), tol=0.0).passed
 
     def test_points_share_one_finite_coordinate_count(self):
-        d = pairwise_distances([(0.0,), (1.0,), (3.0,)], "euclidean")
-        for points in ([(0.0,), (1.0, 2.0), (3.0,)], [(), (), ()]):
+        for points in ([(0.0,), (1.0, 2.0), (3.0,)], [(), (), ()], []):
             with pytest.raises(ValueError, match="one coordinate count"):
-                Instance(d, points=points, norm="euclidean")
+                Instance.from_points(points, "euclidean")
         with pytest.raises(ValueError, match="non-finite"):
-            Instance(d, points=[(0.0,), (math.nan,), (3.0,)], norm="euclidean")
+            Instance.from_points([(0.0,), (math.nan,), (3.0,)], "euclidean")
 
-    def test_dim_hint_may_be_zero_or_inf(self):
-        assert Instance(np.zeros((3, 3)), dim_hint=0).dim_hint == 0.0
-        assert equilateral(4).with_dim_hint(math.inf).dim_hint == math.inf
-        assert equilateral(4).with_dim_hint(None).dim_hint is None
+    def test_from_points_rejects_an_unknown_norm(self):
+        with pytest.raises(ValueError, match="unknown norm tag 'taxicab'"):
+            Instance.from_points([(0.0,), (1.0,), (3.0,)], "taxicab")
 
 
 class TestValidateMetric:
@@ -281,19 +306,30 @@ class TestValidateMetric:
 
 
 class TestGenerate:
-    def test_line_sets_dim_hint(self):
-        inst = generate(GeneratorSpec(family="line", n=10, seed=1))
-        assert inst.dim_hint == 1.0
-        assert inst.n == 10
-        assert all(len(p) == 1 for p in inst.points)
+    @pytest.mark.parametrize("family, d", (("line", None), ("euclidean", 1), ("euclidean", 3)))
+    def test_points_families_derive_the_matrix(self, family, d):
+        inst = generate(GeneratorSpec(family=family, n=10, d=d, seed=1))
+        assert inst.n == 10 and inst.norm == "euclidean"
+        assert all(len(p) == (d or 1) for p in inst.points)
+        assert np.array_equal(inst.dist, pairwise_distances(inst.points, inst.norm))
+        again = load_instance(dump_instance(inst))
+        assert again.points == inst.points
+        assert np.array_equal(again.dist, inst.dist)
 
-    def test_euclidean_dim_hint_formula(self):
-        for d in (1, 2, 3):
-            inst = generate(GeneratorSpec(family="euclidean", n=8, d=d, seed=0))
-            assert inst.dim_hint == math.ceil(2.3 * d + 1)
+    @settings(max_examples=150, deadline=None)
+    @given(raw_metrics())
+    def test_closure_equals_floyd_warshall(self, raw):
+        closed = metricspace._closure(raw)
+        assert closed.tobytes() == floyd_warshall_closure(raw).tobytes()
 
-    def test_random_metric_leaves_hint_unset(self):
-        assert random_metric(8, 0).dim_hint is None
+    def test_closure_over_several_blocks(self):
+        # n > 256 squares in more than one row block
+        raw = np.random.default_rng(8).exponential(size=(300, 300))
+        raw = (raw + raw.T) / 2.0
+        np.fill_diagonal(raw, 0.0)
+        closed = metricspace._closure(raw)
+        assert closed.tobytes() == floyd_warshall_closure(raw).tobytes()
+        assert validate_metric(Instance(closed), tol=0.0).passed
 
     def test_deterministic(self):
         spec = GeneratorSpec(family="euclidean", n=12, d=2, seed=99)
@@ -429,7 +465,12 @@ class TestFileFormat:
     def test_points_mode_any_norm(self, n, d, seed, norm):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-5, 5, size=(n, d))
-        inst = Instance(pairwise_distances(pts, norm), points=pts, norm=norm)
+        text = f"maxtsp v1 {n} points\nnorm {norm} dim {d}\n" + "".join(
+            " ".join(repr(float(c)) for c in p) + "\n" for p in pts
+        )
+        inst = load_instance(text)
+        assert np.array_equal(inst.dist, pairwise_distances(inst.points, inst.norm))
+        assert dump_instance(inst) == text
         again = load_instance(dump_instance(inst))
         assert again.norm == norm
         assert np.array_equal(again.dist, inst.dist)
