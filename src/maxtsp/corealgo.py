@@ -1,4 +1,4 @@
-"""The delta-gluing pipeline: removable-edge pool, gluing loop, diagnostics.
+"""The delta-gluing pipeline: removable-edge pool, gluing loop, algorithm A.
 
 Step 1 takes a maximum cycle cover and marks the two minimum-weight edges
 of each cycle as the removable pool E0.  Step 2 repeatedly merges two
@@ -8,9 +8,9 @@ edges are ever removed, so the total loss stays below (2/3) * delta of
 the initial cover.  Step 3 (in :mod:`maxtsp.merge`) patches whatever
 cycles remain into a single tour.  The terminal state also certifies a
 geometry fact: once no gluing is possible, all selected edges crowd into
-a ball of radius t/delta - t around the shortest one (see :func:`r_tau`),
-which in a space of doubling dimension dim caps the surviving cycle
-count at (2/delta)^(2*dim) / 2.
+a ball of radius t/delta - t around the shortest one, t its weight, which
+in a space of doubling dimension dim caps the surviving cycle count at
+(2/delta)^(2*dim) / 2.  The tests measure that radius (r_tau).
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ def current_selection(state: GluingState) -> List[Edge]:
     """One selected pool edge per cycle: the lightest survivor.
 
     This is the selection the loop tests for feasible gluings, and the
-    selection the terminal-state diagnostics (:func:`r_tau`) are
-    evaluated on.
+    one the terminal-radius fact above is stated on.
     """
     return [pool[0] for pool in state.e0_per_cycle]
 
@@ -170,29 +169,6 @@ def gluing_loop(inst: Instance, cover: CycleCover, delta: float) -> CycleCover:
     while glue_once(state):
         pass
     return CycleCover.from_cycles(inst, state.cycles)
-
-
-def r_tau(inst: Instance, selected: Sequence[Edge]) -> float:
-    """Radius diagnostic for a per-cycle edge selection.
-
-    Let t be the weight of the shortest selected edge (ties to the lowest
-    cycle index).  Returns the farthest distance from that edge to any
-    selected endpoint, where the distance from an edge {a, b} to a point v
-    is min(dist(a, v), dist(b, v)).  At a terminal gluing state this value
-    is strictly below t/delta - t: a farther endpoint's cycle would still
-    admit a gluing with the shortest edge.
-    """
-    if not selected:
-        raise ValueError("empty selection")
-    d = inst.dist
-    weights = [edge_weight(inst, e) for e in selected]
-    tau = min(range(len(selected)), key=lambda i: weights[i])
-    a, b = selected[tau]
-    radius = 0.0
-    for u, v in selected:
-        for point in (u, v):
-            radius = max(radius, float(min(d[a, point], d[b, point])))
-    return radius
 
 
 def algorithm_A(

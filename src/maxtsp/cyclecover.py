@@ -33,8 +33,8 @@ matchings of the gadget correspond to 2-factors using only candidate
 pairs: pair {u, v} is used exactly when its internal edge is left
 unmatched, which forces both stubs onto vertex copies.  Matching weight
 is twice the 2-factor weight, so the maximum matching decodes to the
-heaviest cover on those pairs.  On all pairs the gadget has 2n + n(n-1)
-nodes and serves as the independent oracle the tests compare against.
+heaviest cover on those pairs.  On every pair the gadget has 2n + n(n-1)
+nodes; the tests build it there as their full-gadget oracle.
 
 :class:`Tour` and the cycle helpers the gluing loop and the patching
 step share, :func:`splice` among them, live here too.
@@ -43,15 +43,12 @@ step share, :func:`splice` among them, live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .matching import Matching, WeightedGraph, max_weight_perfect_matching
 from .metricspace import Instance
-
-BRUTE_FORCE_COVER_CAP = 9
 
 # Slack of the pricing comparisons, times n * max distance.  It only ever
 # keeps more candidate edges or accepts a cover this close to the bound.
@@ -176,20 +173,18 @@ class CycleCover:
         return frozenset(out)
 
 
-def build_gadget(inst: Instance, pairs: Optional[Sequence[Edge]] = None) -> WeightedGraph:
+def build_gadget(inst: Instance, pairs: Sequence[Edge]) -> WeightedGraph:
     """Gadget graph whose perfect matchings encode 2-factors on the given pairs.
 
-    pairs lists candidate vertex pairs (u < v); the default is every pair
-    in lexicographic order.  Node layout: copies of vertex u are 2u and
-    2u+1; the stubs of the p-th pair {u < v} are 2n+2p (u side) and
-    2n+2p+1 (v side).  External edges carry dist(u, v) each, standing for
-    two half-weight edges with the factor of two kept explicit, so
-    matching weight is exactly twice the encoded 2-factor weight.
+    pairs lists candidate vertex pairs (u < v).  Node layout: copies of
+    vertex u are 2u and 2u+1; the stubs of the p-th pair {u < v} are
+    2n+2p (u side) and 2n+2p+1 (v side).  External edges carry dist(u, v)
+    each, standing for two half-weight edges with the factor of two kept
+    explicit, so matching weight is exactly twice the encoded 2-factor
+    weight.
     """
     n = inst.n
     d = inst.dist
-    if pairs is None:
-        pairs = list(combinations(range(n), 2))
     edges: List[Tuple[int, int, float]] = []
     for p, (u, v) in enumerate(pairs):
         su, sv = 2 * n + 2 * p, 2 * n + 2 * p + 1
@@ -231,19 +226,15 @@ def _cover_from_pairs(inst: Instance, pairs: Iterable[Edge]) -> CycleCover:
     return CycleCover.from_cycles(inst, cycles)
 
 
-def decode_matching(
-    inst: Instance, matching: Matching, pairs: Optional[Sequence[Edge]] = None
-) -> CycleCover:
+def decode_matching(inst: Instance, matching: Matching, pairs: Sequence[Edge]) -> CycleCover:
     """2-factor selected by a perfect matching of the gadget on these pairs.
 
-    pairs must be the list the gadget was built from (default: every
-    pair).  A pair is in the cover iff its internal stub edge is
-    unmatched.  The cover weight is recomputed from the instance distances
-    rather than from the (doubled) matching weight.
+    pairs must be the list the gadget was built from.  A pair is in the
+    cover iff its internal stub edge is unmatched.  The cover weight is
+    recomputed from the instance distances rather than from the (doubled)
+    matching weight.
     """
     n = inst.n
-    if pairs is None:
-        pairs = list(combinations(range(n), 2))
     matched = set(matching.pairs)
     return _cover_from_pairs(
         inst,
@@ -391,7 +382,7 @@ def max_weight_cycle_cover(inst: Instance) -> CycleCover:
     n, d = inst.n, inst.dist
     z, y = two_matching_lp(d)
     upper, rc = dual_bound(d, y)
-    tol = PRICING_TOL_FACTOR * n * float(d.max())
+    tol = PRICING_TOL_FACTOR * n * inst.max_dist()
     iu, iv = np.triu_indices(n, 1)
     twice_x = z.astype(np.int8) + z.T.astype(np.int8)
     _round_even_components(twice_x, d)
@@ -424,64 +415,3 @@ def max_weight_cycle_cover(inst: Instance) -> CycleCover:
         return cover
     return _matching_cover(inst, list(zip(iu[keep], iv[keep])))
 
-
-def _partitions_into_cycles(vertices: Tuple[int, ...]):
-    """All partitions of the vertex tuple into blocks of size >= 3."""
-    if not vertices:
-        yield []
-        return
-    first, rest = vertices[0], vertices[1:]
-    for extra in range(2, len(vertices)):
-        if len(rest) - extra in (1, 2):
-            continue
-        for others in combinations(rest, extra):
-            block = (first,) + others
-            remaining = tuple(v for v in rest if v not in others)
-            for tail in _partitions_into_cycles(remaining):
-                yield [block] + tail
-
-
-def best_cycle_on(inst: Instance, block: Sequence[int]) -> Tuple[float, Cycle]:
-    """Heaviest cycle through the block's vertices, by enumeration.
-
-    The cycle starts at block[0] and runs through each permutation of the
-    rest, one direction per cycle, in lexicographic order; ties keep the
-    first.  Its weight is summed in the order :func:`cycle_weight` uses,
-    so the two agree bit for bit.
-    """
-    d = inst.dist.tolist()
-    base, rest = block[0], tuple(block[1:])
-    best_w, best = -np.inf, None
-    for perm in permutations(rest):
-        if perm[0] > perm[-1]:
-            continue
-        w = d[base][perm[0]]
-        prev = perm[0]
-        for v in perm[1:]:
-            w += d[prev][v]
-            prev = v
-        w += d[prev][base]
-        if w > best_w:
-            best_w, best = w, (base,) + perm
-    return best_w, best
-
-
-def cycle_cover_brute_force(inst: Instance) -> CycleCover:
-    """Maximum cover by enumerating all cycle partitions (n <= 9 only)."""
-    n = inst.n
-    if n > BRUTE_FORCE_COVER_CAP:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_COVER_CAP} vertices, got {n}")
-    best_cycle_cache: Dict[Tuple[int, ...], Tuple[float, Cycle]] = {}
-    best_w, best = -np.inf, None
-    for blocks in _partitions_into_cycles(tuple(range(n))):
-        total = 0.0
-        cycles = []
-        for block in blocks:
-            if block not in best_cycle_cache:
-                best_cycle_cache[block] = best_cycle_on(inst, block)
-            w, cyc = best_cycle_cache[block]
-            total += w
-            cycles.append(cyc)
-        if total > best_w:
-            best_w, best = total, cycles
-    return CycleCover.from_cycles(inst, best)

@@ -81,11 +81,19 @@ def asymptotic_threshold(dim: float) -> float:
 
 
 def asymptotic_plan(n: int, dim: float) -> Tuple[str, float, float]:
-    """Branch choice for :func:`asymptotic`: (branch, delta, error_bound)."""
-    if n <= asymptotic_threshold(dim):
-        return "five-sixths", float("nan"), 1.0 / 6.0
-    root = n ** (1.0 / (2.0 * dim + 1.0))
-    return "algorithm-A", 2.0 / root, (11.0 / 6.0) / root
+    """Branch choice for :func:`asymptotic`: (branch, delta, error_bound).
+
+    The pipeline runs at delta = 2 / root, root = n^(1/(2*dim+1)), when n
+    is above :func:`asymptotic_threshold` and that delta is below 1.  Just
+    above the threshold, root can round to 2 and delta to 1; the 5/6
+    fallback serves those n too, and meets the target there, since
+    1/6 < (11/6) / root whenever root <= 2.
+    """
+    if n > asymptotic_threshold(dim):
+        root = n ** (1.0 / (2.0 * dim + 1.0))
+        if 2.0 / root < 1.0:
+            return "algorithm-A", 2.0 / root, (11.0 / 6.0) / root
+    return "five-sixths", float("nan"), 1.0 / 6.0
 
 
 def asymptotic(inst: Instance, dim: float) -> Tuple[Tour, Certificate]:
@@ -94,8 +102,8 @@ def asymptotic(inst: Instance, dim: float) -> Tuple[Tour, Certificate]:
 
     Small instances (n <= 2^(2*dim+1)) are served by the 5/6 fallback,
     whose 1/6 error is already below the target there.  Larger ones run
-    the gluing pipeline at delta = 2 / n^(1/(2*dim+1)); the branch
-    condition keeps that delta inside (0, 1).
+    the gluing pipeline at delta = 2 / n^(1/(2*dim+1)), unless float
+    rounding puts that delta at 1 (see :func:`asymptotic_plan`).
     """
     branch, delta, err = asymptotic_plan(inst.n, dim)
     stamp = {"dim": float(dim), "n_threshold": asymptotic_threshold(dim)}

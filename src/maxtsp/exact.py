@@ -1,11 +1,8 @@
-"""Exact solvers: subset dynamic programming and brute-force enumeration.
+"""Exact solver: subset dynamic programming.
 
-held_karp_max is the workhorse oracle, exact up to a hard cap of 20
-vertices, where it takes about a second.  exact_dp wraps it in the
-(Tour, Certificate) shape of the other entry points.  brute_force_tour enumerates (n-1)!/2 tours and
-exists to cross-check the DP; its enumerator is
-:func:`maxtsp.cyclecover.best_cycle_on`, the one the brute-force cover
-runs on each block.
+held_karp_max is exact up to a hard cap of 20 vertices, where it takes
+about a second.  exact_dp wraps it in the (Tour, Certificate) shape of
+the other entry points.
 """
 
 from __future__ import annotations
@@ -15,11 +12,10 @@ from typing import List, Tuple
 import numpy as np
 
 from .certificate import Certificate
-from .cyclecover import Tour, best_cycle_on
+from .cyclecover import Tour
 from .metricspace import Instance
 
 HELD_KARP_CAP = 20
-BRUTE_FORCE_TOUR_CAP = 10
 
 
 def check_dp_size(n: int) -> None:
@@ -83,12 +79,4 @@ def exact_dp(inst: Instance) -> Tuple[Tour, Certificate]:
         branch="exact-dp", weight_tour=tour.weight, claimed_bound=1.0, certified=True
     )
     return tour, cert
-
-
-def brute_force_tour(inst: Instance) -> Tour:
-    """Maximum-weight tour by enumerating all (n-1)!/2 distinct tours."""
-    n = inst.n
-    if n > BRUTE_FORCE_TOUR_CAP:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_TOUR_CAP} vertices, got {n}")
-    return Tour.from_order(inst, best_cycle_on(inst, range(n))[1])
 

@@ -43,7 +43,7 @@ class Instance:
         norm: their norm tag (one of NORM_TAGS), or None.
     """
 
-    __slots__ = ("_dist", "points", "norm")
+    __slots__ = ("_dist", "_max", "points", "norm")
 
     def __init__(self, dist: np.ndarray):
         arr = np.array(dist, dtype=np.float64)
@@ -56,15 +56,17 @@ class Instance:
         if np.any(arr < 0):
             i, j = np.argwhere(arr < 0)[0]
             raise ValueError(f"negative distance at ({i}, {j}): {arr[i, j]}")
+        top = float(arr.max())
         # a tour or cover sums n distances, and that sum must stay finite
-        if not math.isfinite(n * float(arr.max())):
-            raise ValueError(f"distances too large: {n} * {float(arr.max())!r} overflows")
+        if not math.isfinite(n * top):
+            raise ValueError(f"distances too large: {n} * {top!r} overflows")
         if np.any(np.diagonal(arr) != 0):
             i = int(np.flatnonzero(np.diagonal(arr))[0])
             raise ValueError(f"nonzero diagonal at ({i}, {i}): {arr[i, i]}")
         _check_symmetric(arr, 0.0)
         arr.setflags(write=False)
         self._dist = arr
+        self._max = top
         self.points = self.norm = None
 
     @classmethod
@@ -91,7 +93,8 @@ class Instance:
         return self._dist
 
     def max_dist(self) -> float:
-        return float(self._dist.max())
+        """The largest distance, computed once at construction."""
+        return self._max
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, norm={self.norm})"
@@ -180,9 +183,9 @@ def _check_symmetric(dist: np.ndarray, tol: float) -> bool:
     return True
 
 
-def default_tol(dist: np.ndarray) -> float:
+def default_tol(largest: float) -> float:
     """1e-9 times the largest distance; 0.0 for an all-zero matrix."""
-    return DEFAULT_TOL_FACTOR * float(dist.max())
+    return DEFAULT_TOL_FACTOR * largest
 
 
 def check_tol(tol: float) -> float:
@@ -282,7 +285,7 @@ def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport
     triple's own gap, so even the sign of a zero matches the loop.
     """
     d = inst.dist
-    tol = default_tol(d) if tol is None else check_tol(tol)
+    tol = default_tol(inst.max_dist()) if tol is None else check_tol(tol)
     gaps = _min_plus_square(d)
     np.subtract(d, gaps, out=gaps)
     worst = gaps.max()
@@ -367,7 +370,7 @@ def estimate_doubling(inst: Instance, levels: int = 3) -> float:
         raise ValueError("levels must be >= 1")
     d = inst.dist
     n = inst.n
-    r_max = float(d.max())
+    r_max = inst.max_dist()
     if r_max == 0.0:
         return 0.0
     centers = np.unique(np.linspace(0, n - 1, num=min(n, 64)).astype(int))
@@ -443,7 +446,7 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
         del rows
         _check_finite(dist)
         if sym_tol is None:
-            sym_tol = default_tol(np.abs(dist))
+            sym_tol = default_tol(float(np.abs(dist).max()))
         if _check_symmetric(dist, sym_tol):
             dist = np.minimum(dist, dist.T)
         inst = Instance(dist)

@@ -17,6 +17,15 @@ from maxtsp.matching import WeightedGraph
 
 from oracles import floyd_warshall_closure
 
+# (n, dim) with n just above 2^(2 dim + 1), where the asymptotic scheme's
+# delta = 2 / n^(1/(2 dim + 1)) rounds to 1.0
+FLOAT_BOUNDARY = ((8, 0.9999999999999998), (5, 0.6609640474436811))
+
+
+def equilateral(n: int) -> Instance:
+    """Every distance 1: all tours and covers tie."""
+    return Instance(np.ones((n, n)) - np.eye(n))
+
 
 def random_metric(n: int, seed: int) -> Instance:
     return generate(GeneratorSpec(family="random-metric", n=n, seed=seed))

@@ -1,24 +1,149 @@
-"""Brute-force oracles the tests check the package against.
+"""Oracles the tests check the package against; no command runs them.
 
-Perfect matchings by enumeration, for the blossom engine, the gadget
-encoding of a known cover, for the cover decoder, and Floyd-Warshall
-sweeps, for the random-metric closure.  None of this is on
-the solve path; the brute-force cover and tour that the gates also use
-live in the package itself (cycle_cover_brute_force, brute_force_tour).
+- Covers and tours by enumeration (all_two_factors, and
+  cycle_cover_brute_force and brute_force_tour on best_cycle_on), for the
+  cover solver, the exact DP and the gates.
+- The full-gadget cover (blossom on the gadget over every pair), the
+  gadget encoding of a known cover and perfect matchings by enumeration,
+  for the cover solver, its decoder and the blossom engine.
+- The terminal-radius diagnostic r_tau, for the gluing loop's geometry
+  claim, and Floyd-Warshall sweeps, for the random-metric closure.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator, List, Tuple
+from itertools import combinations, permutations, product
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from maxtsp.cyclecover import CycleCover
-from maxtsp.matching import Matching, WeightedGraph
+from maxtsp.cyclecover import (
+    Cycle, CycleCover, Edge, Tour, build_gadget, decode_matching, edge_weight,
+)
+from maxtsp.matching import Matching, WeightedGraph, max_weight_perfect_matching
 from maxtsp.metricspace import Instance
 
 BRUTE_FORCE_VERTEX_CAP = 12
+BRUTE_FORCE_COVER_CAP = 9
+BRUTE_FORCE_TOUR_CAP = 10
+
+
+def _partitions_into_cycles(vertices: Tuple[int, ...]):
+    """All partitions of the vertex tuple into blocks of size >= 3."""
+    if not vertices:
+        yield []
+        return
+    first, rest = vertices[0], vertices[1:]
+    for extra in range(2, len(vertices)):
+        if len(rest) - extra in (1, 2):
+            continue
+        for others in combinations(rest, extra):
+            block = (first,) + others
+            remaining = tuple(v for v in rest if v not in others)
+            for tail in _partitions_into_cycles(remaining):
+                yield [block] + tail
+
+
+def cycle_orders(block: Sequence[int]) -> Iterator[Cycle]:
+    """Every cycle through the block's vertices (at least 3), once each.
+
+    A cycle starts at block[0] and runs through a permutation of the rest,
+    one direction per cycle, in lexicographic order.
+    """
+    base, rest = block[0], tuple(block[1:])
+    for perm in permutations(rest):
+        if perm[0] < perm[-1]:
+            yield (base,) + perm
+
+
+def all_two_factors(inst: Instance) -> Iterator[CycleCover]:
+    """Every 2-factor of the complete graph, as CycleCovers."""
+    for blocks in _partitions_into_cycles(tuple(range(inst.n))):
+        for cycles in product(*(cycle_orders(block) for block in blocks)):
+            yield CycleCover.from_cycles(inst, cycles)
+
+
+def best_cycle_on(inst: Instance, block: Sequence[int]) -> Tuple[float, Cycle]:
+    """Heaviest cycle through the block's vertices, by enumeration.
+
+    Cycles come in :func:`cycle_orders` order; ties keep the first.  A
+    cycle's weight is summed in the order cycle_weight uses, so the two
+    agree bit for bit.
+    """
+    d = inst.dist.tolist()
+    best_w, best = -np.inf, None
+    for cycle in cycle_orders(block):
+        w = d[cycle[0]][cycle[1]]
+        for u, v in zip(cycle[1:], cycle[2:]):
+            w += d[u][v]
+        w += d[cycle[-1]][cycle[0]]
+        if w > best_w:
+            best_w, best = w, cycle
+    return best_w, best
+
+
+def cycle_cover_brute_force(inst: Instance) -> CycleCover:
+    """Maximum cover by enumerating all cycle partitions (n <= 9 only)."""
+    n = inst.n
+    if n > BRUTE_FORCE_COVER_CAP:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_COVER_CAP} vertices, got {n}")
+    best_cycle_cache: Dict[Tuple[int, ...], Tuple[float, Cycle]] = {}
+    best_w, best = -np.inf, None
+    for blocks in _partitions_into_cycles(tuple(range(n))):
+        total = 0.0
+        cycles = []
+        for block in blocks:
+            if block not in best_cycle_cache:
+                best_cycle_cache[block] = best_cycle_on(inst, block)
+            w, cyc = best_cycle_cache[block]
+            total += w
+            cycles.append(cyc)
+        if total > best_w:
+            best_w, best = total, cycles
+    return CycleCover.from_cycles(inst, best)
+
+
+def brute_force_tour(inst: Instance) -> Tour:
+    """Maximum-weight tour by enumerating all (n-1)!/2 distinct tours."""
+    n = inst.n
+    if n > BRUTE_FORCE_TOUR_CAP:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_TOUR_CAP} vertices, got {n}")
+    return Tour.from_order(inst, best_cycle_on(inst, range(n))[1])
+
+
+def r_tau(inst: Instance, selected: Sequence[Edge]) -> float:
+    """Radius diagnostic for a per-cycle edge selection.
+
+    Let t be the weight of the shortest selected edge (ties to the lowest
+    cycle index).  Returns the farthest distance from that edge to any
+    selected endpoint, where the distance from an edge {a, b} to a point v
+    is min(dist(a, v), dist(b, v)).  At a terminal gluing state this value
+    is strictly below t/delta - t: a farther endpoint's cycle would still
+    admit a gluing with the shortest edge.
+    """
+    if not selected:
+        raise ValueError("empty selection")
+    d = inst.dist
+    weights = [edge_weight(inst, e) for e in selected]
+    tau = min(range(len(selected)), key=lambda i: weights[i])
+    a, b = selected[tau]
+    radius = 0.0
+    for u, v in selected:
+        for point in (u, v):
+            radius = max(radius, float(min(d[a, point], d[b, point])))
+    return radius
+
+
+def all_pairs(n: int) -> List[Edge]:
+    """Every vertex pair u < v, in lexicographic order (the rank order of
+    pair_rank): the full gadget's pair list."""
+    return list(combinations(range(n), 2))
+
+
+def full_gadget_cover(inst: Instance) -> CycleCover:
+    """Maximum cover by blossom on the full gadget."""
+    pairs = all_pairs(inst.n)
+    return decode_matching(inst, max_weight_perfect_matching(build_gadget(inst, pairs)), pairs)
 
 
 def pair_rank(u: int, v: int, n: int) -> int:
@@ -34,7 +159,7 @@ def encode_cover(inst: Instance, cover: CycleCover) -> List[Tuple[int, int]]:
     used = cover.edge_set()
     copies_free = {u: [2 * u, 2 * u + 1] for u in range(n)}
     pairs: List[Tuple[int, int]] = []
-    for u, v in combinations(range(n), 2):
+    for u, v in all_pairs(n):
         p = pair_rank(u, v, n)
         su, sv = 2 * n + 2 * p, 2 * n + 2 * p + 1
         if (u, v) in used:

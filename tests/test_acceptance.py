@@ -24,15 +24,13 @@ from maxtsp.corealgo import (
     current_selection,
     glue_once,
     make_gluing_state,
-    r_tau,
 )
-from maxtsp.cyclecover import cycle_cover_brute_force, edge_weight
-from maxtsp.exact import brute_force_tour
+from maxtsp.cyclecover import edge_weight
 from maxtsp.matching import max_weight_perfect_matching
 from maxtsp.merge import serdyukov_combine
 
 from conftest import block_cover, line_instance, pm_graph, random_cover, random_metric
-from oracles import matching_brute_force
+from oracles import brute_force_tour, cycle_cover_brute_force, matching_brute_force, r_tau
 
 GLUING_DELTAS = (0.2, 0.5)
 GLUING_SIZES = (32, 64, 128, 200)

@@ -15,19 +15,15 @@ import maxtsp.cli
 import maxtsp.metricspace
 from maxtsp import GeneratorSpec, Instance, dump_instance, generate
 from maxtsp.cli import main
-from maxtsp.exact import brute_force_tour
 
-from conftest import line_instance, random_metric
+from conftest import FLOAT_BOUNDARY, equilateral, line_instance, random_metric
+from oracles import brute_force_tour
 
 
 def write_instance(tmp_path, inst, name="inst.txt"):
     path = tmp_path / name
     path.write_text(dump_instance(inst), encoding="utf-8")
     return str(path)
-
-
-def equilateral(n):
-    return Instance(np.ones((n, n)) - np.eye(n))
 
 
 class TestGenerateValidate:
@@ -270,6 +266,13 @@ class TestSolve:
         assert cert["certified"] is (branch == "five-sixths")
         assert float(cert["n_threshold"]) == float("inf")
 
+    @pytest.mark.parametrize("n, dim", FLOAT_BOUNDARY)
+    def test_asymptotic_float_boundary_runs_the_fallback(self, tmp_path, capsys, n, dim):
+        path = write_instance(tmp_path, line_instance(n, seed=0))
+        rc = main(["solve", path, "--asymptotic", "--dim", repr(dim), "--out", "json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["branch"] == "five-sixths"
+
     @pytest.mark.parametrize(
         "flags, key",
         ((["--eptas", "0.01", "--dim", "200"], "n_threshold"),
@@ -414,6 +417,14 @@ class TestBench:
         assert len(lines) == 2
         # uncertified pipeline run: the chain bound, not 1 - eps
         assert float(lines[1].split()[6]) < 0.99
+
+    @pytest.mark.parametrize("n, dim", FLOAT_BOUNDARY)
+    def test_asymptotic_float_boundary_runs_the_fallback(self, capsys, n, dim):
+        rc = main(["bench", "--family", "line", "--n-list", str(n), "--seeds", "1",
+                   "--solver", "asymptotic", "--dim", repr(dim)])
+        assert rc == 0
+        # the claimed_bound column holds the 5/6 fallback's bound
+        assert float(capsys.readouterr().out.splitlines()[1].split()[6]) == 5.0 / 6.0
 
     def test_empty_solver_parameter(self, capsys):
         rc = main(["bench", "--family", "line", "--n-list", "6", "--seeds", "1",

@@ -18,17 +18,13 @@ from maxtsp.corealgo import (
     glue_once,
     gluing_loop,
     make_gluing_state,
-    r_tau,
     select_E0,
     try_delta_gluing,
 )
 from maxtsp.cyclecover import cycle_edges, edge_weight, open_cycle_at
 
-from conftest import block_cover, line_instance, random_cover, random_metric
-
-
-def equilateral(n):
-    return Instance(np.ones((n, n)) - np.eye(n))
+from conftest import block_cover, equilateral, line_instance, random_cover, random_metric
+from oracles import r_tau
 
 
 def path_instance(weights):

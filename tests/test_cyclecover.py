@@ -1,7 +1,6 @@
 """Gadget reduction and cycle-cover solvers against enumeration oracles."""
 
 import json
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,28 +13,25 @@ from maxtsp.cyclecover import (
     CycleCover,
     build_gadget,
     canonical_cycle,
-    cycle_cover_brute_force,
     cycle_weight,
     decode_matching,
     dual_bound,
     two_matching_lp,
-    _partitions_into_cycles,
 )
-from maxtsp.exact import brute_force_tour
 from maxtsp.matching import Matching, max_weight_perfect_matching
 from maxtsp.metricspace import GeneratorSpec, generate
 
-from conftest import integer_metric, line_instance, random_metric
-from oracles import encode_cover, enumerate_perfect_matchings, pair_rank
-
-
-def equilateral(n):
-    return Instance(np.ones((n, n)) - np.eye(n))
-
-
-def full_gadget_cover(inst):
-    """Maximum cover by blossom on the full gadget (oracle)."""
-    return decode_matching(inst, max_weight_perfect_matching(build_gadget(inst)))
+from conftest import equilateral, integer_metric, line_instance, random_metric
+from oracles import (
+    all_pairs,
+    all_two_factors,
+    brute_force_tour,
+    cycle_cover_brute_force,
+    encode_cover,
+    enumerate_perfect_matchings,
+    full_gadget_cover,
+    pair_rank,
+)
 
 
 def degenerate_instances(n, seed):
@@ -60,29 +56,6 @@ def random_weights(n, seed, high=10):
     return Instance(w + w.T)
 
 
-def all_two_factors(inst):
-    """Every 2-factor of the complete graph, as CycleCovers (oracle)."""
-    for blocks in _partitions_into_cycles(tuple(range(inst.n))):
-        choices_per_block = []
-        for block in blocks:
-            base, rest = block[0], block[1:]
-            orders = [
-                (base,) + perm
-                for perm in permutations(rest)
-                if perm[0] < perm[-1]
-            ]
-            choices_per_block.append(orders)
-
-        def expand(i, chosen):
-            if i == len(choices_per_block):
-                yield CycleCover.from_cycles(inst, chosen)
-                return
-            for order in choices_per_block[i]:
-                yield from expand(i + 1, chosen + [list(order)])
-
-        yield from expand(0, [])
-
-
 class TestCanonicalCycle:
     def test_rotation_and_reflection_invariant(self):
         base = canonical_cycle([2, 0, 3, 1])
@@ -98,7 +71,7 @@ class TestCanonicalCycle:
 
 class TestGadgetShape:
     def test_counts_n3(self):
-        g = build_gadget(equilateral(3))
+        g = build_gadget(equilateral(3), all_pairs(3))
         assert g.num_vertices == 12
         internal = [e for e in g.edges if e[0] >= 6 and e[1] >= 6]
         external = [e for e in g.edges if e[0] < 6 or e[1] < 6]
@@ -106,7 +79,7 @@ class TestGadgetShape:
         assert len(external) == 12
 
     def test_counts_n4(self):
-        g = build_gadget(equilateral(4))
+        g = build_gadget(equilateral(4), all_pairs(4))
         assert g.num_vertices == 20
         assert len(g.edges) == 4 * 3 // 2 + 2 * 4 * 3
 
@@ -122,11 +95,11 @@ class TestGadgetBijection:
         # each 2-factor corresponds to 2^n gadget matchings (either copy of
         # a vertex may serve either of its two cover edges)
         inst = random_metric(n, seed=n)
-        g = build_gadget(inst)
+        g = build_gadget(inst, all_pairs(n))
         count = 0
         seen_covers = set()
         for m in enumerate_perfect_matchings(g):
-            cover = decode_matching(inst, m)
+            cover = decode_matching(inst, m, all_pairs(n))
             seen_covers.add(cover.cycles)
             count += 1
         assert count == two_factors * 2**n
@@ -134,7 +107,7 @@ class TestGadgetBijection:
 
     def test_every_cover_encodes_to_a_perfect_matching(self):
         inst = random_metric(6, seed=17)
-        g = build_gadget(inst)
+        g = build_gadget(inst, all_pairs(6))
         covers = list(all_two_factors(inst))
         assert len(covers) == 70
         best_encoded = -1.0
@@ -157,13 +130,13 @@ class TestGadgetBijection:
 
     def test_encode_decode_round_trip(self):
         inst = random_metric(7, seed=5)
-        gadget = build_gadget(inst)
+        gadget = build_gadget(inst, all_pairs(7))
         for cover in (
             CycleCover.from_cycles(inst, [[0, 1, 2], [3, 4, 5, 6]]),
             CycleCover.from_cycles(inst, [[0, 2, 4, 6, 1, 3, 5]]),
         ):
             m = Matching.from_pairs(gadget, encode_cover(inst, cover))
-            assert decode_matching(inst, m).cycles == cover.cycles
+            assert decode_matching(inst, m, all_pairs(7)).cycles == cover.cycles
 
 
 class TestMaxWeightCycleCover:
@@ -241,7 +214,7 @@ class TestMaxWeightCycleCover:
         sizes = []
         monkeypatch.setattr(
             cyclecover, "build_gadget",
-            lambda inst, pairs=None: sizes.append(len(pairs)) or build_gadget(inst, pairs),
+            lambda inst, pairs: sizes.append(len(pairs)) or build_gadget(inst, pairs),
         )
         cover = max_weight_cycle_cover(inst)
         monkeypatch.undo()

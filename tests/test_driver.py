@@ -26,10 +26,10 @@ from maxtsp.driver import (
     asymptotic_threshold,
     eptas_plan,
 )
-from maxtsp.exact import brute_force_tour
 from maxtsp.merge import serdyukov_combine
 
-from conftest import line_instance, random_metric
+from conftest import FLOAT_BOUNDARY, line_instance, random_metric
+from oracles import brute_force_tour
 
 
 def expected_plan(n, epsilon, dim):
@@ -185,6 +185,15 @@ class TestAsymptoticPlan:
         assert (branch, err) == ("five-sixths", 1.0 / 6.0)
         assert asymptotic_threshold(dim) == math.inf
 
+    def test_every_pipeline_plan_has_delta_inside_the_unit_interval(self):
+        # 41 dims within 20 ulps of each n's threshold, where 2 / root
+        # can round to 1
+        for n in range(3, 2000):
+            at = (math.log2(n) - 1.0) / 2.0
+            for dim in at + math.ulp(at) * np.arange(-20, 21):
+                branch, delta, _ = asymptotic_plan(n, float(dim))
+                assert branch == "five-sixths" or 0.0 < delta < 1.0, (n, dim)
+
     def test_threshold_is_the_stamped_one(self):
         for dim in (0.0, 0.5, 1.0, 3.0):
             assert asymptotic_threshold(dim) == 2.0 ** (2.0 * dim + 1.0)
@@ -219,7 +228,8 @@ class TestAsymptotic:
 
 
 # (scheme, n, epsilon, dim, branch run, certified): every branch of both
-# schemes, including eptas's exact prescription above the DP cap
+# schemes, including eptas's exact prescription above the DP cap and
+# asymptotic's n just above its threshold, where delta rounds to 1
 SCHEME_BRANCHES = (
     ("eptas", 8, 0.2, 1.0, "five-sixths", True),
     ("eptas", 8, 0.1, 1.0, "exact-dp", True),
@@ -227,6 +237,7 @@ SCHEME_BRANCHES = (
     ("eptas", 24, 0.1, 1.0, "algorithm-A", False),
     ("asymptotic", 8, None, 1.0, "five-sixths", True),
     ("asymptotic", 24, None, 1.0, "algorithm-A", True),
+    *(("asymptotic", n, None, dim, "five-sixths", True) for n, dim in FLOAT_BOUNDARY),
 )
 
 

@@ -14,15 +14,12 @@ from maxtsp import (
     kostochka_serdyukov_56,
 )
 from maxtsp.cyclecover import cycle_weight
-from maxtsp.exact import BRUTE_FORCE_TOUR_CAP, HELD_KARP_CAP, brute_force_tour
+from maxtsp.exact import HELD_KARP_CAP
 
-from conftest import random_metric
+from conftest import equilateral, random_metric
+from oracles import BRUTE_FORCE_TOUR_CAP, brute_force_tour
 
 FAMILIES = ("line", "euclidean", "random-metric")
-
-
-def equilateral(n):
-    return Instance(np.ones((n, n)) - np.eye(n))
 
 
 def family_instance(family, n, seed):
@@ -122,10 +119,8 @@ class TestHeldKarp:
         assert elapsed < 5.0, f"n = {HELD_KARP_CAP} took {elapsed:.2f} s"
 
     def test_size_cap(self):
-        n = HELD_KARP_CAP + 1
-        inst = Instance(np.ones((n, n)) - np.eye(n))
         with pytest.raises(ValueError, match="capped"):
-            held_karp_max(inst)
+            held_karp_max(equilateral(HELD_KARP_CAP + 1))
 
 
 class TestExactDp:
@@ -154,8 +149,6 @@ class TestBruteForce:
         assert tour.order[0] == 0
 
     def test_size_cap(self):
-        n = BRUTE_FORCE_TOUR_CAP + 1
-        inst = Instance(np.ones((n, n)) - np.eye(n))
         with pytest.raises(ValueError, match="capped"):
-            brute_force_tour(inst)
+            brute_force_tour(equilateral(BRUTE_FORCE_TOUR_CAP + 1))
 

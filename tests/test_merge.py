@@ -1,24 +1,18 @@
 """Cycle combining and the 5/6 baseline."""
 
-import numpy as np
 import pytest
 
 from maxtsp import (
     CycleCover,
-    Instance,
     Tour,
     kostochka_serdyukov_56,
     max_weight_cycle_cover,
 )
 from maxtsp.cyclecover import cycle_weight
-from maxtsp.exact import brute_force_tour
 from maxtsp.merge import serdyukov_combine
 
-from conftest import random_cover, random_metric
-
-
-def equilateral(n):
-    return Instance(np.ones((n, n)) - np.eye(n))
+from conftest import equilateral, random_cover, random_metric
+from oracles import brute_force_tour
 
 
 def best_two_cycle_merge(inst, c1, c2):

@@ -21,12 +21,8 @@ from maxtsp import (
 from maxtsp import metricspace
 from maxtsp.metricspace import parse_instance, pairwise_distances
 
-from conftest import random_metric
+from conftest import equilateral, random_metric
 from oracles import floyd_warshall_closure
-
-
-def equilateral(n):
-    return Instance(np.ones((n, n)) - np.eye(n))
 
 
 # d[0,3] = 3 > d[0,1] + d[1,3] = 2: a violation of a third of the longest
@@ -64,6 +60,8 @@ def assert_matches_loop(inst, tol=None):
     assert np.float64(rep.max_triangle_violation).tobytes() == np.float64(worst).tobytes()
     assert rep.worst_triple == triple
     assert rep.passed == (worst <= rep.tol)
+    if tol is None:
+        assert repr(rep.tol) == repr(1e-9 * float(inst.dist.max()))
     return rep
 
 
@@ -141,7 +139,7 @@ class TestInstance:
     def test_takes_the_matrix_alone(self):
         inst = equilateral(4)
         assert inst.points is None and inst.norm is None
-        assert Instance.__slots__ == ("_dist", "points", "norm")
+        assert Instance.__slots__ == ("_dist", "_max", "points", "norm")
         with pytest.raises(TypeError):
             Instance(inst.dist, points=[(0.0,), (1.0,), (2.0,), (3.0,)])
 

@@ -1,4 +1,5 @@
-"""Package shape: the public namespace and the intra-package import graph."""
+"""Package shape: the public namespace, the intra-package import graph,
+and that every top-level definition is reachable from a command."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,53 @@ def test_public_namespace_is_pinned():
     assert set(maxtsp.__all__) == PUBLIC_NAMES
     for name in maxtsp.__all__:
         assert getattr(maxtsp, name) is not None
+
+
+def _unreached(sources, roots):
+    """Sorted (module, name) of every top-level def, class or assignment,
+    dunders aside, that no chain of references leads to from the roots.
+
+    sources maps each module to its text; roots are (module, name) pairs.
+    A name a module imports relatively stands for the definition it binds.
+    """
+    defs, imports = {}, {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+            elif isinstance(node, ast.Assign):
+                defs.update({(module, t.id): node for t in node.targets if isinstance(t, ast.Name)})
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    imports[module, a.asname or a.name] = (node.module, a.name)
+
+    def resolve(key):
+        while key in imports:
+            key = imports[key]
+        return key
+
+    reached, todo = set(), [resolve(r) for r in roots]
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in defs:
+            continue
+        reached.add(key)
+        for node in ast.walk(defs[key]):
+            if isinstance(node, ast.Name):
+                todo.append(resolve((key[0], node.id)))
+    return sorted(key for key in defs if key not in reached and not key[1].startswith("__"))
+
+
+def test_every_definition_is_reached_from_a_command():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_DIR.glob("*.py")}
+    roots = [("__init__", name) for name in maxtsp.__all__] + [("cli", "main")]
+    unreached = _unreached(sources, roots)
+    assert unreached == [], f"not reached from __all__ or cli.main: {unreached}"
+
+
+def test_reach_walk_follows_references_and_imports():
+    sources = {
+        "a": "from .b import g\nX = 1\ndef f():\n    return g()\ndef dead():\n    return X\n",
+        "b": "def g():\n    return h()\ndef h():\n    pass\ndef lone():\n    pass\n",
+    }
+    assert _unreached(sources, [("a", "f")]) == [("a", "X"), ("a", "dead"), ("b", "lone")]
