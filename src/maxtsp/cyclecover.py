@@ -95,15 +95,17 @@ def lightest_edges(inst: Instance, edges: Iterable[Edge]) -> List[Edge]:
 
 
 def open_cycle_at(cycle: Sequence[int], e: Edge) -> List[int]:
-    """The cycle opened at edge e, as a path from e[0] to e[1]."""
-    m = len(cycle)
-    for i in range(m):
-        a, b = cycle[i], cycle[(i + 1) % m]
-        if (min(a, b), max(a, b)) == e:
-            path = list(cycle[(i + 1) % m :]) + list(cycle[: (i + 1) % m])
-            if path[0] != e[0]:
-                path.reverse()
-            return path
+    """The cycle opened at edge e, a sorted pair, as a path from e[0] to e[1].
+
+    e[0] is found by list index and e[1] must be one of its neighbours.
+    """
+    u, v = e
+    if u <= v and u in cycle:
+        i = cycle.index(u)
+        if cycle[i - 1] == v:
+            return list(cycle[i:]) + list(cycle[:i])
+        if cycle[(i + 1) % len(cycle)] == v:
+            return list(cycle[i::-1]) + list(cycle[:i:-1])
     raise ValueError(f"edge {e} is not an edge of the cycle")
 
 

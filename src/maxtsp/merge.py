@@ -1,21 +1,21 @@
 """Patching a cycle cover into a single tour, and the 5/6 fallback.
 
-Two constructions live here.  :func:`serdyukov_combine` repeatedly merges
-the lowest-density cycle into a partner via the best exhaustive two-edge
-patch; each merge loses at most the current total weight divided by n,
-which compounds to the (1 - 1/n)^(k-1) floor the certificates rely on.
-The merge itself is :func:`maxtsp.cyclecover.splice`, the step the gluing
-loop uses too.
+:func:`serdyukov_combine` merges the lowest-density cycle into a partner
+by the best two-edge patch, found in one scan over partners, edge pairs
+and patterns; each merge loses at most the total weight over n, which
+compounds to the (1 - 1/n)^(k-1) floor the certificates rely on.  The
+merge is :func:`maxtsp.cyclecover.splice`, shared with the gluing loop;
+it opens each cycle at a C-level list index, not a Python scan.
 :func:`kostochka_serdyukov_56` is the constant-factor fallback: drop the
-minimum edge of each cycle of a maximum cover, then close the resulting
-paths into a tour with junction edges worth at least half the dropped
-weight in total, for a 5/6 guarantee against the cover (and hence against
-the optimum).
+minimum edge of each cycle of a maximum cover, then close the paths with
+junction edges worth at least half the dropped weight (an orientation DP
+whose ties go to the smaller orientation), for 5/6 of the optimum.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import math
+from typing import List, Tuple
 
 from .certificate import Certificate
 from .cyclecover import (
@@ -31,40 +31,18 @@ from .cyclecover import (
 from .metricspace import Instance
 
 
-def _best_patch(inst: Instance, a: Sequence[int], b: Sequence[int]):
-    """Best two-edge reconnection of cycles a and b.
-
-    Scans every (edge of a) x (edge of b) x (two reconnection patterns)
-    and returns (gain, edge_a, edge_b, pattern) with gain = added weight
-    minus removed weight; ties keep the first candidate in scan order.
-    """
-    d = inst.dist
-    best = None
-    for ea in cycle_edges(a):
-        a1, b1 = ea
-        w_ea = float(d[a1, b1])
-        for eb in cycle_edges(b):
-            a2, b2 = eb
-            removed = w_ea + float(d[a2, b2])
-            cross = float(d[a1, b2] + d[a2, b1])
-            straight = float(d[a1, a2] + d[b1, b2])
-            for pattern, added in ((0, cross), (1, straight)):
-                gain = added - removed
-                if best is None or gain > best[0]:
-                    best = (gain, ea, eb, pattern)
-    return best
-
-
 def serdyukov_combine(inst: Instance, cover: CycleCover) -> Tour:
     """Merge all cycles of a cover into one tour by best-patch merging.
 
-    Merge order: always merge the cycle of minimum weight-per-vertex
-    (ties to the cycle with the lowest vertex id) with whichever partner
-    and patch retain the most weight.  The exhaustive patch never loses
-    more than the minimum edge weight of the low-density cycle, which is
-    at most (current total weight)/n; after k-1 merges the tour therefore
-    keeps at least (1 - 1/n)^(k-1) of the cover weight.
+    Always merge the cycle of minimum weight-per-vertex (ties to the lowest
+    vertex id).  Its partner and patch come from one scan: partners in list
+    order, then edges of the low-density cycle, then edges of the partner,
+    then pattern 0 before 1 (see :func:`splice`); the first strictly
+    larger gain, added minus removed weight, wins.  The patch never loses
+    more than the low-density cycle's minimum edge, at most (current total
+    weight)/n, so k-1 merges keep (1 - 1/n)^(k-1) of the cover weight.
     """
+    d = inst.dist
     cycles = [list(c) for c in cover.cycles]
     while len(cycles) > 1:
         a_idx = min(
@@ -76,12 +54,20 @@ def serdyukov_combine(inst: Instance, cover: CycleCover) -> Tour:
         for b_idx, b in enumerate(cycles):
             if b_idx == a_idx:
                 continue
-            gain, ea, eb, pattern = _best_patch(inst, a, b)
-            if best is None or gain > best[0]:
-                best = (gain, b_idx, ea, eb, pattern)
+            for ea in cycle_edges(a):
+                a1, b1 = ea
+                w_ea = float(d[a1, b1])
+                for eb in cycle_edges(b):
+                    a2, b2 = eb
+                    removed = w_ea + float(d[a2, b2])
+                    cross = float(d[a1, b2] + d[a2, b1])
+                    straight = float(d[a1, a2] + d[b1, b2])
+                    for pattern, added in ((0, cross), (1, straight)):
+                        gain = added - removed
+                        if best is None or gain > best[0]:
+                            best = (gain, b_idx, ea, eb, pattern)
         _, b_idx, ea, eb, pattern = best
-        merged = splice(a, cycles[b_idx], ea, eb, pattern)
-        cycles[a_idx] = merged
+        cycles[a_idx] = splice(a, cycles[b_idx], ea, eb, pattern)
         del cycles[b_idx]
     return Tour.from_order(inst, cycles[0])
 
@@ -90,11 +76,11 @@ def _best_orientation_tour(inst: Instance, paths: List[List[int]]) -> Tour:
     """Close the path sequence into a tour with optimal path orientations.
 
     Orientations interact only between neighbours in the fixed cyclic
-    order, so the optimum over all 2^k assignments is a two-state chain
-    maximization.  Its value is at least the uniform-orientation average,
-    and that average already collects half of every dropped edge: for any
-    exit point x of the previous path, dist(x, s) + dist(x, t) is at
-    least dist(s, t) when {s, t} bounded a removed cycle edge.
+    order: a two-state chain DP per orientation o0 of the first path, its
+    other start state at -inf.  Ties go to the smaller orientation at each
+    step and at the close; o0 = 1 wins only when strictly heavier.  The
+    optimum is at least the uniform-orientation average, which collects
+    half of each dropped edge {s, t}: d(x, s) + d(x, t) >= d(s, t) at exit x.
     """
     d = inst.dist
     k = len(paths)
@@ -105,29 +91,21 @@ def _best_orientation_tour(inst: Instance, paths: List[List[int]]) -> Tour:
         # ends[.][0], exit at ends[.][1]; orientation 1 is the reverse
         return float(d[ends[i][1 - oi], ends[j][oj]])
 
-    best_total, best_assign = None, None
+    best_total, best_assign = -math.inf, None
     for o0 in (0, 1):
-        value = {o0: 0.0}
-        parents: List[dict] = []
+        value = [0.0 if o == o0 else -math.inf for o in (0, 1)]
+        parents = []
         for j in range(1, k):
-            nxt = {}
-            par = {}
-            for oj in (0, 1):
-                cand = {po: value[po] + link(j - 1, po, j, oj) for po in value}
-                po = max(cand, key=lambda o: (cand[o], -o))
-                nxt[oj] = cand[po]
-                par[oj] = po
-            value = nxt
-            parents.append(par)
-        closed = {o: value[o] + link(k - 1, o, 0, o0) for o in value}
-        last = max(closed, key=lambda o: (closed[o], -o))
-        if best_total is None or closed[last] > best_total:
-            assign = [0] * k
-            assign[k - 1] = last
-            for j in range(k - 1, 0, -1):
-                assign[j - 1] = parents[j - 1][assign[j]]
-            assign[0] = o0
-            best_total, best_assign = closed[last], assign
+            steps = [[value[po] + link(j - 1, po, j, oj) for po in (0, 1)] for oj in (0, 1)]
+            parents.append([int(s[1] > s[0]) for s in steps])
+            value = [max(s) for s in steps]
+        closing = [value[o] + link(k - 1, o, 0, o0) for o in (0, 1)]
+        last = int(closing[1] > closing[0])
+        if closing[last] > best_total:
+            assign = [last]
+            for par in reversed(parents):
+                assign.append(par[assign[-1]])
+            best_total, best_assign = closing[last], assign[::-1]
     order: List[int] = []
     for path, o in zip(paths, best_assign):
         order.extend(path if o == 0 else path[::-1])

@@ -472,7 +472,6 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
             raise ValueError(f"bad coordinate: {exc}") from None
         if any(len(p) != d for p in pts):
             raise ValueError(f"point rows must have {d} coordinates")
-        _check_finite(np.array(pts))
         inst = Instance.from_points(pts, norm)
     else:
         raise ValueError(f"unknown mode {mode!r}")

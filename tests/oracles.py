@@ -8,6 +8,9 @@
   for the cover solver, its decoder and the blossom engine.
 - The terminal-radius diagnostic r_tau, for the gluing loop's geometry
   claim, and Floyd-Warshall sweeps, for the random-metric closure.
+- The heaviest closing of a path sequence over all 2^k orientations, for
+  the 5/6 fallback's orientation DP, and a position-by-position scan that
+  opens a cycle at an edge, for open_cycle_at.
 """
 
 from __future__ import annotations
@@ -132,6 +135,30 @@ def r_tau(inst: Instance, selected: Sequence[Edge]) -> float:
         for point in (u, v):
             radius = max(radius, float(min(d[a, point], d[b, point])))
     return radius
+
+
+def best_orientation_weight(inst: Instance, paths: Sequence[Sequence[int]]) -> float:
+    """Heaviest tour that visits the paths in their fixed cyclic order,
+    over all 2^k assignments of a direction to each path."""
+    best = -np.inf
+    for flips in product((False, True), repeat=len(paths)):
+        order = [v for p, flip in zip(paths, flips) for v in (p[::-1] if flip else p)]
+        best = max(best, float(inst.dist[order, np.roll(order, -1)].sum()))
+    return best
+
+
+def open_cycle_at_scan(cycle: Sequence[int], e: Edge) -> List[int]:
+    """The cycle opened at the sorted pair e, found by testing every
+    position's edge in turn; a path from e[0] to e[1]."""
+    m = len(cycle)
+    for i in range(m):
+        a, b = cycle[i], cycle[(i + 1) % m]
+        if (min(a, b), max(a, b)) == e:
+            path = list(cycle[(i + 1) % m :]) + list(cycle[: (i + 1) % m])
+            if path[0] != e[0]:
+                path.reverse()
+            return path
+    raise ValueError(f"edge {e} is not an edge of the cycle")
 
 
 def all_pairs(n: int) -> List[Edge]:

@@ -321,6 +321,18 @@ class TestOutOfRangeNumbers:
         assert message in captured.out + captured.err
 
     @pytest.mark.parametrize(
+        "coords, message",
+        (([0.0, math.nan, 1.0], "points contain non-finite coordinates"),
+         ([1e200, -1e200, 0.0], "distance matrix contains non-finite entries")),
+    )
+    def test_coordinate_and_matrix_messages(self, tmp_path, capsys, coords, message):
+        path = points_file(tmp_path, coords)
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
+        assert main(["solve", path, "--five-sixths"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flags",
         (["--algoA", "0.5"], ["--five-sixths"], ["--exact"],
          ["--eptas", "0.05", "--dim", "1"], ["--asymptotic", "--dim", "0.5"]),

@@ -21,7 +21,7 @@ from maxtsp.corealgo import (
     select_E0,
     try_delta_gluing,
 )
-from maxtsp.cyclecover import cycle_edges, edge_weight, open_cycle_at
+from maxtsp.cyclecover import cycle_edges, edge_weight
 
 from conftest import block_cover, equilateral, line_instance, random_cover, random_metric
 from oracles import r_tau
@@ -313,9 +313,3 @@ class TestAlgorithmA:
     def test_dim_must_be_non_negative(self, dim):
         with pytest.raises(ValueError, match="dim must be non-negative"):
             algorithm_A(random_metric(6, 1), 0.5, dim)
-
-
-def test_open_cycle_at_orientation():
-    path = open_cycle_at([4, 1, 7, 2], (2, 4))
-    assert path[0] == 2 and path[-1] == 4
-    assert sorted(path) == [1, 2, 4, 7]

@@ -16,6 +16,7 @@ from maxtsp.cyclecover import (
     cycle_weight,
     decode_matching,
     dual_bound,
+    open_cycle_at,
     two_matching_lp,
 )
 from maxtsp.matching import Matching, max_weight_perfect_matching
@@ -30,6 +31,7 @@ from oracles import (
     encode_cover,
     enumerate_perfect_matchings,
     full_gadget_cover,
+    open_cycle_at_scan,
     pair_rank,
 )
 
@@ -318,3 +320,31 @@ def test_cover_weight_consistency():
     cover = max_weight_cycle_cover(inst)
     recomputed = sum(cycle_weight(inst, c) for c in cover.cycles)
     assert cover.weight == pytest.approx(recomputed, rel=1e-12)
+
+
+def test_open_cycle_at_orientation():
+    path = open_cycle_at([4, 1, 7, 2], (2, 4))
+    assert path[0] == 2 and path[-1] == 4
+    assert sorted(path) == [1, 2, 4, 7]
+
+
+def _opened(fn, cycle, e):
+    try:
+        return fn(cycle, e)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 14), min_size=3, max_size=12, unique=True),
+    st.booleans(),
+)
+def test_open_cycle_at_matches_the_scan(cycle, as_tuple):
+    # every ordered pair over a range wider than the cycle: edges, chords,
+    # unsorted pairs and vertices outside it, each opened or refused alike
+    if as_tuple:
+        cycle = tuple(cycle)
+    for u in range(16):
+        for v in range(16):
+            assert _opened(open_cycle_at, cycle, (u, v)) == _opened(open_cycle_at_scan, cycle, (u, v))

@@ -1,18 +1,21 @@
 """Cycle combining and the 5/6 baseline."""
 
+import numpy as np
 import pytest
 
 from maxtsp import (
     CycleCover,
+    GeneratorSpec,
     Tour,
+    generate,
     kostochka_serdyukov_56,
     max_weight_cycle_cover,
 )
-from maxtsp.cyclecover import cycle_weight
-from maxtsp.merge import serdyukov_combine
+from maxtsp.cyclecover import cycle_edges, cycle_weight, lightest_edges, open_cycle_at
+from maxtsp.merge import _best_orientation_tour, _greedy_junction_tour, serdyukov_combine
 
-from conftest import equilateral, random_cover, random_metric
-from oracles import brute_force_tour
+from conftest import equilateral, integer_metric, random_cover, random_metric
+from oracles import best_orientation_weight, brute_force_tour
 
 
 def best_two_cycle_merge(inst, c1, c2):
@@ -120,3 +123,52 @@ class TestFiveSixths:
                 dropped += min(edges)
             floor = cover.weight - 0.5 * dropped
             assert tour.weight >= floor - 1e-9 * max(1.0, cover.weight)
+
+
+class TestOrientationClosing:
+    @pytest.mark.parametrize("family", ("random-metric", "euclidean"))
+    def test_matches_enumeration(self, family):
+        # the chain DP must reach the best of all 2^k orientation choices
+        d = 2 if family == "euclidean" else None
+        for k in range(2, 9):
+            for seed in range(3):
+                inst = generate(GeneratorSpec(family=family, n=3 * k, seed=100 * k + seed, d=d))
+                rng = np.random.default_rng(seed)
+                perm = [int(v) for v in rng.permutation(inst.n)]
+                cuts = sorted(int(c) for c in rng.choice(range(1, inst.n), size=k - 1, replace=False))
+                paths = [perm[i:j] for i, j in zip([0] + cuts, cuts + [inst.n])]
+                weight = _best_orientation_tour(inst, paths).weight
+                assert weight == pytest.approx(best_orientation_weight(inst, paths), rel=1e-12)
+
+
+# Tours on tie-heavy metrics, pinned so any change in scan order or tie
+# rule shows: every distance 1, and integers 1..3 closed to a metric.
+TIE_COVER = [[0, 5, 1, 9], [2, 7, 3], [4, 11, 6, 10, 8]]
+PINNED = {
+    "equilateral": {
+        "combine": (0, 3, 7, 2, 5, 1, 9, 4, 11, 6, 10, 8),
+        "orientation": (0, 8, 10, 6, 11, 4, 3, 7, 2, 5, 1, 9),
+        "greedy": (0, 8, 10, 6, 11, 4, 3, 7, 2, 5, 1, 9),
+        "five_sixths": (0, 2, 1, 3, 5, 4, 6, 8, 7, 9, 11, 10),
+    },
+    "integer": {
+        "combine": (0, 3, 2, 7, 5, 1, 9, 6, 11, 4, 8, 10),
+        "orientation": (0, 3, 2, 7, 8, 10, 6, 11, 4, 5, 1, 9),
+        "greedy": (0, 3, 2, 7, 8, 10, 6, 11, 4, 5, 1, 9),
+        "five_sixths": (0, 1, 5, 11, 4, 6, 9, 7, 8, 3, 2, 10),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_tie_breaking_is_pinned(name):
+    inst = equilateral(12) if name == "equilateral" else integer_metric(12, 1, high=4)
+    cover = CycleCover.from_cycles(inst, TIE_COVER)
+    paths = [open_cycle_at(c, lightest_edges(inst, cycle_edges(c))[0]) for c in cover.cycles]
+    got = {
+        "combine": serdyukov_combine(inst, cover).order,
+        "orientation": _best_orientation_tour(inst, paths).order,
+        "greedy": _greedy_junction_tour(inst, paths).order,
+        "five_sixths": kostochka_serdyukov_56(inst)[0].order,
+    }
+    assert got == PINNED[name]

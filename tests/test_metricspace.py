@@ -426,6 +426,15 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="non-finite"):
             parse_instance(text)
 
+    def test_non_finite_coordinate_is_named_a_coordinate(self):
+        text = "maxtsp v1 3 points\nnorm euclidean dim 1\n0\nnan\n1\n"
+        with pytest.raises(ValueError, match="^points contain non-finite coordinates$"):
+            parse_instance(text)
+        # finite coordinates whose distance overflows fail on the matrix
+        text = "maxtsp v1 3 points\nnorm euclidean dim 1\n1e200\n-1e200\n0\n"
+        with pytest.raises(ValueError, match="^distance matrix contains non-finite entries$"):
+            parse_instance(text)
+
     @pytest.mark.parametrize("norm", ("euclidean", "manhattan", "chebyshev"))
     def test_overflowing_distances_come_out_inf(self, norm):
         d = pairwise_distances([[1.7e308], [-1.7e308], [0.0]], norm)
