@@ -26,7 +26,6 @@ from .metricspace import (
     validate_metric,
 )
 
-ORACLE_N_CAP = 10
 # Solver name -> spec as bench --solver takes it; solve selects the same
 # solvers by the flags --<name>.
 SOLVER_SPECS = {
@@ -206,8 +205,9 @@ def _cmd_bench(args, parser) -> int:
         tour, cert = run(inst)
         ratio_cover = tour.weight / cert.weight_cover if cert.weight_cover else None
         ratio_opt = None
-        if spec.n <= ORACLE_N_CAP:
-            opt = held_karp_max(inst)
+        if spec.n <= HELD_KARP_CAP:
+            # an exact-dp certificate already carries the optimum
+            opt = tour if cert.branch == "exact-dp" else held_karp_max(inst)
             ratio_opt = tour.weight / opt.weight if opt.weight else None
         row = [
             spec.n,

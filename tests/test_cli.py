@@ -12,6 +12,7 @@ import pytest
 
 import maxtsp
 import maxtsp.cli
+import maxtsp.exact
 import maxtsp.metricspace
 from maxtsp import GeneratorSpec, Instance, dump_instance, generate
 from maxtsp.cli import main
@@ -367,14 +368,10 @@ class TestBench:
         assert len(lines) == 5
         for row in lines[1:]:
             cells = row.split()
-            n = int(cells[0])
             assert int(cells[4]) <= 8
             ratio_cover = float(cells[7])
             assert 0.0 < ratio_cover <= 1.0 + 1e-9
-            if n <= 10:
-                assert 0.0 < float(cells[8]) <= 1.0 + 1e-9
-            else:
-                assert cells[8] == "-"
+            assert 0.0 < float(cells[8]) <= 1.0 + 1e-9
 
     def test_exact_solver_has_no_cover_columns(self, capsys):
         rc = main(
@@ -391,6 +388,38 @@ class TestBench:
         cells = lines[1].split()
         assert cells[2] == "-" and cells[3] == "-" and cells[4] == "-"
         assert float(cells[8]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("solver", ("exact", "eptas:0.05"))
+    def test_exact_dp_tour_is_its_own_oracle(self, capsys, monkeypatch, solver):
+        # both solvers take the exact-dp branch at n = 8, so bench reuses
+        # their tour and runs the DP once a row
+        calls = []
+        real = maxtsp.exact.held_karp_max
+
+        def counting(inst):
+            calls.append(inst.n)
+            return real(inst)
+
+        for module in (maxtsp.cli, maxtsp.exact):
+            monkeypatch.setattr(module, "held_karp_max", counting)
+        rc = main(
+            ["bench", "--family", "random-metric", "--n-list", "8", "--seeds", "2",
+             "--solver", solver, "--dim", "1"]
+        )
+        assert rc == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [float(row.split()[8]) for row in rows] == [1.0, 1.0]
+        assert calls == [8, 8]
+
+    def test_no_oracle_above_the_dp_cap(self, capsys):
+        rc = main(
+            ["bench", "--family", "line", "--n-list", "20,21", "--seeds", "1",
+             "--solver", "five-sixths"]
+        )
+        assert rc == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert 0.0 < float(rows[0].split()[8]) <= 1.0 + 1e-9
+        assert rows[1].split()[8] == "-"
 
     def test_unknown_solver_spec(self, capsys):
         with pytest.raises(SystemExit) as exc:

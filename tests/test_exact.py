@@ -1,9 +1,12 @@
 """Exact tour oracles."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxtsp import (
     GeneratorSpec,
@@ -17,7 +20,7 @@ from maxtsp.cyclecover import cycle_weight
 from maxtsp.exact import HELD_KARP_CAP
 
 from conftest import equilateral, random_metric
-from oracles import BRUTE_FORCE_TOUR_CAP, brute_force_tour
+from oracles import BRUTE_FORCE_TOUR_CAP, brute_force_tour, held_karp_pull
 
 FAMILIES = ("line", "euclidean", "random-metric")
 
@@ -121,6 +124,68 @@ class TestHeldKarp:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
             held_karp_max(equilateral(HELD_KARP_CAP + 1))
+
+
+class TestAgainstPullDp:
+    # held_karp_pull fills every subset layer, keeps a parent table and
+    # never uses symmetry, so it checks the half-path join and the walk
+    # back above the brute-force cap
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(BRUTE_FORCE_TOUR_CAP + 1, 18))
+    def test_families(self, family, n):
+        inst = family_instance(family, n, seed=200 + n)
+        dp = held_karp_max(inst)
+        assert dp.weight == pytest.approx(held_karp_pull(inst).weight, rel=1e-12, abs=0)
+        assert_exact_tour(inst, dp)
+
+    @pytest.mark.parametrize("kind", sorted(TIE_HEAVY))
+    def test_tie_heavy_inputs(self, kind):
+        for n in range(BRUTE_FORCE_TOUR_CAP + 1, 17):
+            inst = TIE_HEAVY[kind](n, n)
+            dp = held_karp_max(inst)
+            assert dp.weight == pytest.approx(held_karp_pull(inst).weight, rel=1e-12, abs=0)
+            assert_exact_tour(inst, dp)
+
+    @pytest.mark.parametrize("scale", (1e-12, 1e12))
+    def test_scaled_random_metric(self, scale):
+        for n in (11, 14, 17):
+            inst = generate(GeneratorSpec(family="random-metric", n=n, seed=n, scale=scale))
+            dp = held_karp_max(inst)
+            assert dp.weight == pytest.approx(held_karp_pull(inst).weight, rel=1e-12, abs=0)
+            assert_exact_tour(inst, dp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(min_value=4, max_value=13).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.integers(0, 10_000))
+    ),
+)
+def test_relabelling_keeps_the_optimum(family, perm_seed):
+    # a relabelling moves vertex 0, where both half paths start, and which
+    # vertices fall on either side of the join
+    perm, seed = perm_seed
+    inst = family_instance(family, len(perm), seed)
+    relabelled = Instance(inst.dist[np.ix_(perm, perm)])
+    assert held_karp_max(relabelled).weight == pytest.approx(
+        held_karp_max(inst).weight, rel=1e-12, abs=0
+    )
+
+
+def test_peak_memory_fits_the_half_layers():
+    # n = 17 keeps 16 x 39,203 float64 states (4.8 MiB) and two buffers of
+    # the widest layer (3.1 MiB together); every subset layer with an int8
+    # parent table, as held_karp_pull keeps, peaks at about 12 MiB
+    inst = random_metric(17, 3)
+    tracemalloc.start()
+    try:
+        held_karp_max(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 class TestExactDp:
