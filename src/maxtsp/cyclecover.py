@@ -43,7 +43,7 @@ step share, :func:`splice` among them, live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,12 +167,6 @@ class CycleCover:
     @property
     def k(self) -> int:
         return len(self.cycles)
-
-    def edge_set(self) -> FrozenSet[Edge]:
-        out = set()
-        for c in self.cycles:
-            out.update(cycle_edges(c))
-        return frozenset(out)
 
 
 def build_gadget(inst: Instance, pairs: Sequence[Edge]) -> WeightedGraph:

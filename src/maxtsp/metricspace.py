@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,27 +135,28 @@ class MetricReport:
 
     Symmetry needs no report: every :class:`Instance` is symmetric, so
     summary() states it as a constant line.
-    max_triangle_violation is max over triples of d[i,j] - d[i,k] - d[k,j];
-    a value <= tol means the triangle inequality holds within tolerance.
-    worst_triple is the (i, j, k) attaining that maximum.
+    max_triangle_violation is max over triples of d[i,j] - (d[i,k] + d[k,j]),
+    never below 0 (take k = i); a value <= tol means the triangle
+    inequality holds within tolerance.  worst_triple is an (i, j, k)
+    attaining that maximum: the first pair (i, j) in row-major order, then
+    the smallest k.  A valid metric reports (0, 0, 0).
     """
 
     n: int
     tol: float
-    max_triangle_violation: float = 0.0
-    worst_triple: Optional[tuple] = None
-    passed: bool = True
+    max_triangle_violation: float
+    worst_triple: Tuple[int, int, int]
+    passed: bool
 
     def summary(self) -> str:
-        lines = [f"metric check: n={self.n} tol={self.tol!r}", "  symmetry: ok"]
-        if self.worst_triple is not None:
-            i, j, k = self.worst_triple
-            lines.append(
-                f"  max triangle violation: {self.max_triangle_violation!r} "
-                f"at d[{i},{j}] vs d[{i},{k}] + d[{k},{j}]"
-            )
-        lines.append("  result: " + ("pass" if self.passed else "FAIL"))
-        return "\n".join(lines)
+        i, j, k = self.worst_triple
+        return "\n".join((
+            f"metric check: n={self.n} tol={self.tol!r}",
+            "  symmetry: ok",
+            f"  max triangle violation: {self.max_triangle_violation!r} "
+            f"at d[{i},{j}] vs d[{i},{k}] + d[{k},{j}]",
+            "  result: " + ("pass" if self.passed else "FAIL"),
+        ))
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -237,35 +238,6 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     return s
 
 
-def _first_worst_triple(d: np.ndarray, worst: float, rows: np.ndarray):
-    """(gap, (i, j, k)) for the smallest k, then the first (i, j) in
-    row-major order, with gap = d[i, j] - (d[i, k] + d[k, j]) == worst.
-
-    rows lists, ascending, the rows that hold a pair attaining worst; no
-    other row can hold the triple.  They are scanned in blocks of about
-    _BLOCK_ENTRIES gaps (no larger than the rows themselves), each block
-    only over the k below the best found in the blocks before it.
-    """
-    n = d.shape[0]
-    step = max(1, min(rows.size, _BLOCK_ENTRIES // n))
-    gap = np.empty((step, n))
-    hit = np.empty((step, n), dtype=bool)
-    best = None
-    for c in range(0, rows.size, step):
-        chunk = rows[c : c + step]
-        block = d[chunk]
-        g, h = gap[: chunk.size], hit[: chunk.size]
-        for k in range(n if best is None else best[1][2]):
-            np.add(block[:, k : k + 1], d[k : k + 1, :], out=g)
-            np.subtract(block, g, out=g)
-            np.equal(g, worst, out=h)
-            r, j = divmod(int(np.argmax(h)), n)
-            if h[r, j]:
-                best = float(g[r, j]), (int(chunk[r]), j, k)
-                break
-    return best
-
-
 def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport:
     """Check the triangle inequality within tolerance.
 
@@ -279,21 +251,22 @@ def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport
     d[k, j]), then max_triangle_violation = max_ij fl(d[i, j] - S[i, j]).
     Rounded subtraction is monotone, so fl(d[i, j] - S[i, j]) equals
     max_k fl(d[i, j] - fl(d[i, k] + d[k, j])) exactly, and the maximum is
-    the one a loop over every triple would find, bit for bit.  worst_triple
-    is (i, j, k) for the smallest k attaining that maximum and, within that
-    k, the first (i, j) in row-major order; the value reported is that
-    triple's own gap, so even the sign of a zero matches the loop.
+    the one a loop over every triple would find, bit for bit.  The witness
+    is the first worst pair (i, j) in row-major order and the smallest k
+    with fl(d[i, k] + d[k, j]) = S[i, j]; such a k exists in both halves
+    of the pass because d is exactly symmetric and float addition
+    commutes.  The value reported is that triple's own gap, so even the
+    sign of a zero matches the loop.
     """
     d = inst.dist
     tol = default_tol(inst.max_dist()) if tol is None else check_tol(tol)
     gaps = _min_plus_square(d)
     np.subtract(d, gaps, out=gaps)
-    worst = gaps.max()
-    rows = np.flatnonzero((gaps == worst).any(axis=1))
-    del gaps
-    worst, triple = _first_worst_triple(d, worst, rows)
+    i, j = divmod(int(gaps.argmax()), inst.n)
+    k = int(np.argmin(d[i] + d[:, j]))
+    worst = float(d[i, j] - (d[i, k] + d[k, j]))
     return MetricReport(
-        n=inst.n, tol=tol, max_triangle_violation=worst, worst_triple=triple,
+        n=inst.n, tol=tol, max_triangle_violation=worst, worst_triple=(i, j, k),
         passed=worst <= tol,
     )
 
@@ -301,8 +274,12 @@ def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport
 def pairwise_distances(points: Sequence[Sequence[float]], norm: str) -> np.ndarray:
     """Dense pairwise distance matrix for the given norm tag.
 
-    Distances too large for a float come out as inf, which
-    :class:`Instance` rejects.
+    Euclidean differences are scaled by 2^-e, 2^e just above the widest
+    coordinate range, before they are squared, and the distances back by
+    2^e: a power-of-two scaling is exact, so the squares cannot overflow
+    and every distance that neither version overflows or underflows is
+    bit-identical to the unscaled formula.  Distances too large for a
+    float come out as inf, which :class:`Instance` rejects.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -310,7 +287,10 @@ def pairwise_distances(points: Sequence[Sequence[float]], norm: str) -> np.ndarr
     with np.errstate(over="ignore"):
         diff = pts[:, None, :] - pts[None, :, :]
         if norm == "euclidean":
+            e = math.frexp(float((pts.max(axis=0) - pts.min(axis=0)).max(initial=0.0)))[1]
+            np.ldexp(diff, -e, out=diff)
             d = np.sqrt((diff * diff).sum(axis=2))
+            np.ldexp(d, e, out=d)
         elif norm == "manhattan":
             d = np.abs(diff).sum(axis=2)
         elif norm == "chebyshev":

@@ -6,9 +6,10 @@
 - The layered pull Held-Karp DP over every subset, with a parent table
   and no use of symmetry (held_karp_pull), for the exact DP above the
   enumeration cap.
-- The full-gadget cover (blossom on the gadget over every pair), the
-  gadget encoding of a known cover and perfect matchings by enumeration,
-  for the cover solver, its decoder and the blossom engine.
+- The edge set of a cover, the full-gadget cover (blossom on the gadget
+  over every pair), the gadget encoding of a known cover and perfect
+  matchings by enumeration, for the cover solver, its decoder and the
+  blossom engine.
 - The terminal-radius diagnostic r_tau, for the gluing loop's geometry
   claim, and Floyd-Warshall sweeps, for the random-metric closure.
 - The heaviest closing of a path sequence over all 2^k orientations, for
@@ -19,12 +20,13 @@
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from maxtsp.cyclecover import (
-    Cycle, CycleCover, Edge, Tour, build_gadget, decode_matching, edge_weight,
+    Cycle, CycleCover, Edge, Tour, build_gadget, cycle_edges, decode_matching,
+    edge_weight,
 )
 from maxtsp.exact import check_dp_size
 from maxtsp.matching import Matching, WeightedGraph, max_weight_perfect_matching
@@ -219,6 +221,11 @@ def all_pairs(n: int) -> List[Edge]:
     return list(combinations(range(n), 2))
 
 
+def cover_edges(cover: CycleCover) -> FrozenSet[Edge]:
+    """Every edge (u < v) of the cover's cycles."""
+    return frozenset(e for c in cover.cycles for e in cycle_edges(c))
+
+
 def full_gadget_cover(inst: Instance) -> CycleCover:
     """Maximum cover by blossom on the full gadget."""
     pairs = all_pairs(inst.n)
@@ -235,7 +242,7 @@ def pair_rank(u: int, v: int, n: int) -> int:
 def encode_cover(inst: Instance, cover: CycleCover) -> List[Tuple[int, int]]:
     """Perfect-matching pairs of the full gadget that encode the given cover."""
     n = inst.n
-    used = cover.edge_set()
+    used = cover_edges(cover)
     copies_free = {u: [2 * u, 2 * u + 1] for u in range(n)}
     pairs: List[Tuple[int, int]] = []
     for u, v in all_pairs(n):

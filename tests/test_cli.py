@@ -73,6 +73,14 @@ class TestGenerateValidate:
         assert rc == 1
         assert "invalid:" in capsys.readouterr().out
 
+    def test_validate_names_the_first_of_tied_pairs(self, tmp_path, capsys):
+        # (0, 3) and (1, 4) violate by 1.0 each; the first pair is named
+        d = np.ones((5, 5))
+        d[0, 3] = d[3, 0] = d[1, 4] = d[4, 1] = 3.0
+        np.fill_diagonal(d, 0.0)
+        assert main(["validate", write_instance(tmp_path, Instance(d))]) == 1
+        assert capsys.readouterr().out == "invalid: triangle inequality violated by 1.0 at triple (0, 3) via 1\n"
+
     def test_validate_missing_file(self, capsys):
         rc = main(["validate", "/nonexistent/nowhere.txt"])
         assert rc == 1
@@ -308,7 +316,7 @@ class TestOutOfRangeNumbers:
     # checks that no overflow or inf - inf warning escapes
     @pytest.mark.parametrize(
         "make, message",
-        ((lambda tmp: points_file(tmp, [1e200, -1e200, 0.0]), "non-finite"),
+        ((lambda tmp: points_file(tmp, [1e308, -1e308, 0.0]), "non-finite"),
          (lambda tmp: points_file(tmp, [1.7e308, -1.7e308, 0.0], "chebyshev"), "non-finite"),
          (lambda tmp: points_file(tmp, [math.inf, -1.0, 0.0]), "non-finite"),
          (lambda tmp: matrix_file(tmp, math.inf), "non-finite"),
@@ -324,7 +332,7 @@ class TestOutOfRangeNumbers:
     @pytest.mark.parametrize(
         "coords, message",
         (([0.0, math.nan, 1.0], "points contain non-finite coordinates"),
-         ([1e200, -1e200, 0.0], "distance matrix contains non-finite entries")),
+         ([1e308, -1e308, 0.0], "distance matrix contains non-finite entries")),
     )
     def test_coordinate_and_matrix_messages(self, tmp_path, capsys, coords, message):
         path = points_file(tmp_path, coords)
@@ -332,6 +340,13 @@ class TestOutOfRangeNumbers:
         assert capsys.readouterr().out == f"invalid: {message}\n"
         assert main(["solve", path, "--five-sixths"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags", (["--five-sixths"], ["--exact"], ["--algoA", "0.5"]))
+    def test_coordinates_whose_squares_overflow_solve(self, tmp_path, capsys, flags):
+        # distances 2e200 and 1e200 are finite although their squares are not
+        path = points_file(tmp_path, [1e200, -1e200, 0.0])
+        assert main(["solve", path, *flags, "--out", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["weight"] == 4e200
 
     @pytest.mark.parametrize(
         "flags",

@@ -24,7 +24,7 @@ from maxtsp.corealgo import (
 from maxtsp.cyclecover import cycle_edges, edge_weight
 
 from conftest import block_cover, equilateral, line_instance, random_cover, random_metric
-from oracles import r_tau
+from oracles import cover_edges, r_tau
 
 
 def path_instance(weights):
@@ -147,7 +147,7 @@ class TestGluingLoop:
     def test_state_invariants_step_by_step(self):
         inst = line_instance(30, seed=2)
         cover = block_cover(inst)
-        initial_edges = cover.edge_set()
+        initial_edges = cover_edges(cover)
         state = make_gluing_state(inst, cover, 0.5)
         k_before = state.k
         steps = 0

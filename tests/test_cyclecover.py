@@ -27,6 +27,7 @@ from oracles import (
     all_pairs,
     all_two_factors,
     brute_force_tour,
+    cover_edges,
     cycle_cover_brute_force,
     encode_cover,
     enumerate_perfect_matchings,
@@ -124,7 +125,7 @@ class TestGadgetBijection:
     def test_restricted_gadget_encodes_covers_on_its_pairs(self):
         inst = random_metric(7, seed=5)
         cover = CycleCover.from_cycles(inst, [[0, 1, 2], [3, 4, 5, 6]])
-        pairs = sorted(cover.edge_set() | {(0, 3), (2, 5)})
+        pairs = sorted(cover_edges(cover) | {(0, 3), (2, 5)})
         gadget = build_gadget(inst, pairs)
         assert gadget.num_vertices == 2 * 7 + 2 * len(pairs)
         decoded = decode_matching(inst, max_weight_perfect_matching(gadget), pairs)
@@ -287,7 +288,7 @@ class TestTwoMatchingLP:
         upper, rc = dual_bound(inst.dist, duals)
         slack = 1e-12 * (inst.dist.sum() + np.abs(duals).sum())
         for cover in all_two_factors(inst):
-            priced = sum(rc[pair_rank(u, v, n)] for u, v in cover.edge_set())
+            priced = sum(rc[pair_rank(u, v, n)] for u, v in cover_edges(cover))
             assert cover.weight <= upper - priced + slack
 
 

@@ -33,18 +33,19 @@ FOUR_POINT_VIOLATION = np.array(
 
 
 def loop_triangle_check(d):
-    """The per-k loop over every triple: (max violation, (i, j, k)).
+    """The per-row loop over every triple: (max violation, (i, j, k)).
 
-    Reference for validate_metric: strict > across k, argmax in row-major
-    order within one k.
+    Reference for validate_metric: row i holds gap[j, k] = d[i, j] -
+    (d[i, k] + d[k, j]); argmax in row-major order within one row (the
+    first j, then the smallest k), strict > across rows.
     """
     n = d.shape[0]
     worst, triple = -math.inf, None
-    for k in range(n):
-        gap = d - (d[:, k : k + 1] + d[k : k + 1, :])
-        i, j = divmod(int(np.argmax(gap)), n)
-        if gap[i, j] > worst:
-            worst, triple = float(gap[i, j]), (i, j, k)
+    for i in range(n):
+        gap = d[i][:, None] - (d[i][None, :] + d.T)
+        j, k = divmod(int(np.argmax(gap)), n)
+        if gap[j, k] > worst:
+            worst, triple = float(gap[j, k]), (i, j, k)
     return worst, triple
 
 
@@ -229,8 +230,9 @@ class TestValidateMetric:
         assert assert_matches_loop(inst, tol=0.0).passed
 
     def test_several_blocks_many_tied_rows(self):
-        # integer weights 0..3 tie on thousands of worst pairs, so the
-        # triple is recovered over more than one block of candidate rows
+        # integer weights 0..3 tie on thousands of worst pairs in more
+        # rows than one block of the min-plus pass holds; the witness is
+        # still the first of them
         n = 300
         d = np.random.default_rng(9).integers(0, 4, size=(n, n)).astype(float)
         d = np.minimum(d, d.T)
@@ -241,6 +243,16 @@ class TestValidateMetric:
         for k in range(n):
             tied |= d - (d[:, k : k + 1] + d[k : k + 1, :]) == 3.0
         assert tied.any(axis=1).sum() > metricspace._BLOCK_ENTRIES // n
+
+    def test_tied_pairs_name_the_first_pair(self):
+        # two pairs violate by 1.0 each; the first in row-major order wins,
+        # with the smallest k for it
+        d = np.ones((5, 5))
+        d[0, 3] = d[3, 0] = d[1, 4] = d[4, 1] = 3.0
+        np.fill_diagonal(d, 0.0)
+        rep = assert_matches_loop(Instance(d))
+        assert rep.worst_triple == (0, 3, 1)
+        assert rep.max_triangle_violation == 1.0
 
     def test_several_blocks_injected_violation(self):
         inst = generate(GeneratorSpec(family="line", n=270, seed=6))
@@ -431,7 +443,7 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="^points contain non-finite coordinates$"):
             parse_instance(text)
         # finite coordinates whose distance overflows fail on the matrix
-        text = "maxtsp v1 3 points\nnorm euclidean dim 1\n1e200\n-1e200\n0\n"
+        text = "maxtsp v1 3 points\nnorm euclidean dim 1\n1e308\n-1e308\n0\n"
         with pytest.raises(ValueError, match="^distance matrix contains non-finite entries$"):
             parse_instance(text)
 
@@ -439,6 +451,12 @@ class TestFileFormat:
     def test_overflowing_distances_come_out_inf(self, norm):
         d = pairwise_distances([[1.7e308], [-1.7e308], [0.0]], norm)
         assert d[0, 1] == math.inf and d[2, 2] == 0.0
+
+    def test_large_euclidean_distances_do_not_overflow(self):
+        # the squares of these differences overflow; the distances do not
+        text = "maxtsp v1 3 points\nnorm euclidean dim 1\n1e200\n-1e200\n0\n"
+        inst = load_instance(text)
+        assert inst.dist[0, 1] == 2e200 and inst.dist[0, 2] == inst.dist[1, 2] == 1e200
 
     def test_triangle_failure_rejected_at_load(self):
         text = "maxtsp v1 3 matrix\n0 1 3\n1 0 1\n3 1 0\n"

@@ -1,5 +1,6 @@
 """Package shape: the public namespace, the intra-package import graph,
-and that every top-level definition is reachable from a command."""
+that every top-level definition is reachable from a command, and that
+every method is used by the package itself."""
 
 import ast
 from pathlib import Path
@@ -161,3 +162,34 @@ def test_reach_walk_follows_references_and_imports():
         "b": "def g():\n    return h()\ndef h():\n    pass\ndef lone():\n    pass\n",
     }
     assert _unreached(sources, [("a", "f")]) == [("a", "X"), ("a", "dead"), ("b", "lone")]
+
+
+def _unused_methods(sources):
+    """Sorted (class, name) of every non-dunder method or property of a
+    top-level class that no attribute access in the sources names."""
+    trees = [ast.parse(text) for text in sources.values()]
+    used = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted(
+        (cls.name, fn.name)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("__")
+        and fn.name not in used
+    )
+
+
+def test_every_method_is_used_by_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_DIR.glob("*.py")}
+    unused = _unused_methods(sources)
+    assert unused == [], f"methods no package code calls: {unused}"
+
+
+def test_unused_method_walk_sees_attribute_names_only():
+    sources = {
+        "a": "class A:\n    def f(self):\n        return self.g()\n    def g(self):\n        pass\n"
+             "    @property\n    def p(self):\n        return f\n    def __len__(self):\n        return 0\n",
+    }
+    assert _unused_methods(sources) == [("A", "f"), ("A", "p")]
