@@ -10,6 +10,7 @@ runs it for you.  Instances are immutable after construction.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -212,29 +213,56 @@ def check_delta(delta: float, name: str = "delta") -> float:
     return float(delta)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
     """S[i, j] = min over k of d[i, k] + d[k, j], in float64 arithmetic.
 
     Rows are filled in blocks of about _BLOCK_ENTRIES entries (one block
     of all n rows when d is smaller), with one add and one minimum per
-    (block, k) into buffers sized to the block and allocated up front.  d
-    must be exactly symmetric, as an instance matrix is; then so is S (float
-    addition commutes), so each block fills only the columns from its first
-    row onward and copies the rest from the transpose of the blocks above.
+    (block, k) into a scratch buffer sized to the block.  d must be exactly
+    symmetric, as an instance matrix is; then so is S (float addition
+    commutes), so each block fills only the columns from its first row
+    onward, and the rest is copied from the transpose once every block is
+    done.  The blocks write disjoint parts of S, so they run on a thread
+    pool, one worker per CPU the process may run on and no more workers
+    than blocks, handed out widest first; numpy releases the GIL on blocks
+    this large.  A single block runs in the calling thread.  Every entry is
+    the minimum of the same float sums whatever the worker count, so S is
+    bit-identical.
     """
     n = d.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // n))
+    starts = range(0, n, rows)
     s = np.empty_like(d)
-    scratch = np.empty(rows * n)
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        block = s[r0:r1, r0:]
-        tmp = scratch[: block.size].reshape(block.shape)
-        np.add(d[r0:r1, :1], d[:1, r0:], out=block)
+
+    def fill(r0: int) -> None:
+        block = s[r0 : r0 + rows, r0:]
+        tmp = np.empty_like(block)
+        np.add(d[r0 : r0 + rows, :1], d[:1, r0:], out=block)
         for k in range(1, n):
-            np.add(d[r0:r1, k : k + 1], d[k : k + 1, r0:], out=tmp)
+            np.add(d[r0 : r0 + rows, k : k + 1], d[k : k + 1, r0:], out=tmp)
             np.minimum(block, tmp, out=block)
-        s[r0:r1, :r0] = s[:r0, r0:r1].T
+
+    workers = min(len(starts), _cpus())
+    if workers == 1:
+        for r0 in starts:
+            fill(r0)
+    else:
+        # imported here: it loads logging, which one-block callers never need
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # list() waits for every block and re-raises a worker's error
+            list(pool.map(fill, starts))
+    for r0 in starts:
+        s[r0 : r0 + rows, :r0] = s[:r0, r0 : r0 + rows].T
     return s
 
 
@@ -416,14 +444,20 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
         body = lines[1:]
         if len(body) != n:
             raise ValueError(f"expected {n} matrix rows, got {len(body)}")
+        # a bad entry in any row is reported before a row of the wrong length
+        dist = np.empty((n, n))
+        ragged = False
         try:
-            rows = [[float(x) for x in ln.split()] for ln in body]
+            for row, ln in zip(dist, body):
+                values = list(map(float, ln.split()))
+                if len(values) == n:
+                    row[:] = values
+                else:
+                    ragged = True
         except ValueError as exc:
             raise ValueError(f"bad matrix entry: {exc}") from None
-        if any(len(r) != n for r in rows):
+        if ragged:
             raise ValueError(f"matrix rows must have {n} entries")
-        dist = np.array(rows, dtype=np.float64)
-        del rows
         _check_finite(dist)
         if sym_tol is None:
             sym_tol = default_tol(float(np.abs(dist).max()))

@@ -1,6 +1,9 @@
 """Instance model, validation, generation, doubling estimate, file I/O."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -19,6 +22,7 @@ from maxtsp import (
     validate_metric,
 )
 from maxtsp import metricspace
+from maxtsp.cli import main
 from maxtsp.metricspace import parse_instance, pairwise_distances
 
 from conftest import equilateral, random_metric
@@ -363,6 +367,129 @@ class TestGenerate:
                 GeneratorSpec(family="line", n=5, seed=0, scale=scale)
 
 
+def symmetric_matrix(n, kind, seed=0):
+    """uniform weights; integers 0..3 with every zero off the diagonal
+    signed (many ties, -0.0 and 0.0 mixed); or all zeros."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        d = rng.uniform(size=(n, n))
+    elif kind == "ties-signed-zeros":
+        d = rng.integers(0, 4, size=(n, n)).astype(float)
+        d[d == 0.0] = -0.0
+    else:
+        d = np.zeros((n, n))
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestWorkerCount:
+    """The min-plus pass gives the same bits on every number of CPUs."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # records the worker count of every thread pool the pass starts
+        started = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                started.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        return started
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties-signed-zeros", "all-zero"])
+    @pytest.mark.parametrize("n", [256, 257, 300, 601])
+    def test_min_plus_square_is_bit_identical(self, monkeypatch, pools, n, kind):
+        d = symmetric_matrix(n, kind)
+        blocks = -(-n // (metricspace._BLOCK_ENTRIES // n))
+        results = []
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
+            results.append(metricspace._min_plus_square(d).tobytes())
+        assert results[1:] == results[:1] * 3
+        assert pools == [min(cpus, blocks) for cpus in (2, 3, 7) if blocks > 1]
+
+    def test_more_workers_than_cpus_in_small_blocks(self, monkeypatch, pools):
+        # 16-row blocks: twelve of them, so seven workers all run, and a
+        # short switch interval interleaves them often
+        monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", 16 * 180)
+        d = symmetric_matrix(180, "ties-signed-zeros", seed=3)
+        monkeypatch.setattr(metricspace, "_cpus", lambda: 1)
+        expected = metricspace._min_plus_square(d).tobytes()
+        monkeypatch.setattr(metricspace, "_cpus", lambda: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert metricspace._min_plus_square(d).tobytes() == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [7] * 5
+
+    def test_reports_and_generated_matrix_match(self, monkeypatch):
+        d = symmetric_matrix(300, "ties-signed-zeros", seed=9)
+        seen = set()
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
+            rep = validate_metric(Instance(d))
+            gen = generate(GeneratorSpec(family="random-metric", n=300, seed=2))
+            seen.add((repr(rep.max_triangle_violation), rep.worst_triple, rep.passed,
+                      gen.dist.tobytes()))
+        assert len(seen) == 1
+
+    def test_memory_peak_with_a_worker_per_block(self, monkeypatch):
+        # a many-core host runs all six blocks of n = 600 at once, each
+        # with its own scratch buffer; the peak stays under the same bound
+        monkeypatch.setattr(metricspace, "_cpus", lambda: 64)
+        n = 600
+        inst = generate(GeneratorSpec(family="euclidean", n=n, d=2, seed=5))
+        tracemalloc.start()
+        try:
+            validate_metric(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8
+
+    def test_one_block_starts_no_thread(self, monkeypatch, tmp_path, capsys):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a one-block matrix started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(metricspace, "_cpus", lambda: 8)
+        for n in (17, 24, 256):
+            for family, d in (("euclidean", 2), ("random-metric", None)):
+                inst = generate(GeneratorSpec(family=family, n=n, d=d, seed=1))
+                assert validate_metric(inst).passed
+        path = tmp_path / "inst.txt"
+        for n, flags in ((24, ["--five-sixths"]), (24, ["--algoA", "0.5"]), (17, ["--exact"])):
+            inst = generate(GeneratorSpec(family="random-metric", n=n, seed=4))
+            path.write_text(dump_instance(inst), encoding="utf-8")
+            assert main(["solve", str(path), *flags]) == 0
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        with pytest.raises(AssertionError, match="one-block"):
+            validate_metric(generate(GeneratorSpec(family="line", n=257, seed=1)))
+
+    def test_one_block_callers_never_load_the_pool(self):
+        # the pool's module loads logging: about 0.6 MB of resident memory
+        # that a process solving only small instances does not need
+        src = os.path.dirname(os.path.dirname(metricspace.__file__))
+        code = (
+            "import sys, maxtsp\n"
+            "inst = maxtsp.generate(maxtsp.GeneratorSpec('random-metric', 256, seed=1))\n"
+            "assert maxtsp.validate_metric(inst).passed\n"
+            "maxtsp.exact_dp(maxtsp.generate(maxtsp.GeneratorSpec('line', 17, seed=1)))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestEstimateDoubling:
     def test_all_zero_distances(self):
         assert estimate_doubling(Instance(np.zeros((5, 5)))) == 0.0
@@ -426,6 +553,21 @@ class TestFileFormat:
         ):
             with pytest.raises(ValueError):
                 load_instance(text)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        (
+            (["0 1 1", "1 0 1 9", "1 1 x"], "bad matrix entry: could not convert string to float: 'x'"),
+            (["0 1", "1 0 1", "y 1 0"], "bad matrix entry: could not convert string to float: 'y'"),
+            (["0 1 1", "1 0", "1 1 0"], "matrix rows must have 3 entries"),
+            (["0 1 1", "1 0 1", "1 1 0 0"], "matrix rows must have 3 entries"),
+        ),
+    )
+    def test_a_bad_entry_is_reported_before_a_row_of_the_wrong_length(self, rows, message):
+        text = "maxtsp v1 3 matrix\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ValueError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "text",
