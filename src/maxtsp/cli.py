@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,6 +38,9 @@ SOLVER_SPECS = {
 }
 
 
+# Building the parser costs about ten times parsing one command line, and
+# parsing leaves the parser unchanged, so one process builds it once.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxtsp",

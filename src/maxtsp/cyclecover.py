@@ -19,10 +19,18 @@ Otherwise the LP's vertex duals y bound every cover F from above:
 
 with s_e = max(0, d_e - y_u - y_v) and rc_e = max(0, y_u + y_v - d_e).
 The bound holds for any y, so exactness never rests on the flow being
-optimal.  A cover of weight LB is found by exact matching on a gadget
-restricted to the LP support and each vertex's cheapest other edge;
-unless it reaches UB, matching runs once more on the edges with
-rc_e <= UB - LB, which hold every optimal cover.
+optimal.  A best-first branch and bound then closes the gap (Carpaneto &
+Toth 1980): a node forbids or forces some pairs, its LP keeps b_v =
+2 - (forced pairs at v) as the degree of each vertex, and the same
+bound, with the forced pairs' weight added, prices its covers.  Each
+child is re-solved from its parent's plan with a few augmenting paths.
+A node branches on its heaviest half edge; nodes whose bound is within
+the pricing slack of the best cover found are pruned.  After
+SEARCH_NODE_BUDGET child LPs the search stops, and exact matching on a
+gadget finishes the cover: on the pairs with rc_e <= UB - LB, which
+hold every optimal cover, where LB is the search's best cover.  Only
+when the search found none does matching first find one on the LP
+support and each vertex's cheapest other pairs.
 
 The gadget: for each vertex u two copies of u, and for each candidate
 pair {u, v} two stub nodes joined by a zero-weight internal edge; each
@@ -42,6 +50,7 @@ step share, :func:`splice` among them, live here too.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -53,6 +62,10 @@ from .metricspace import Instance
 # Slack of the pricing comparisons, times n * max distance.  It only ever
 # keeps more candidate edges or accepts a cover this close to the bound.
 PRICING_TOL_FACTOR = 1e-12
+# Child LPs the branch and bound may solve before matching on the priced
+# pairs finishes the cover.  Fractional random-metric LPs at n <= 400
+# needed 2 to 64.
+SEARCH_NODE_BUDGET = 128
 
 Cycle = Tuple[int, ...]
 Edge = Tuple[int, int]
@@ -238,35 +251,59 @@ def decode_matching(inst: Instance, matching: Matching, pairs: Sequence[Edge]) -
     )
 
 
-def two_matching_lp(dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Fractional 2-matching LP as a transportation problem; returns (z, y).
+class InfeasibleLP(RuntimeError):
+    """No plan meets every vertex's degree on the allowed arcs."""
 
-    z is a maximum-weight 0/1 plan on the bipartite double cover (zero
-    diagonal, every row and column sum 2), found by shortest augmenting
-    paths (Jonker & Volgenant 1987): 2n augmentations, each a dense
-    Dijkstra in O(n^2) from the rows with supply left that stops at the
-    first column with demand left, so O(n^3) overall.  y holds vertex
-    duals of the symmetric LP, derived from the final potentials.
+
+def _free_degrees(n: int, forced: Sequence[Edge]) -> np.ndarray:
+    """b_v = 2 - (number of forced pairs at v), the degree the plan must add."""
+    b = np.full(n, 2)
+    for u, v in forced:
+        b[u] -= 1
+        b[v] -= 1
+    return b
+
+
+@dataclass
+class TransportPlan:
+    """A maximum-weight plan on the double cover and potentials proving it.
+
+    cost[u, v] = top - d_uv on the allowed arcs and inf on the diagonal,
+    the forbidden pairs and the forced ones.  Every residual arc has a
+    nonnegative reduced cost: the free arc u -> v costs red[u, v] =
+    cost[u, v] + pot_l[u] - pot_r[v], the reverse of a used one -red[u, v].
     """
-    n = dist.shape[0]
-    top = float(dist.max())
-    # A plan always has 2n arcs, so shifting every cost by top changes no
-    # optimum and makes all costs nonnegative.
-    cost = top - dist
-    np.fill_diagonal(cost, np.inf)
-    z = np.zeros((n, n), dtype=bool)
-    supply = np.full(n, 2)
-    demand = np.full(n, 2)
-    # Potentials of the left and right copies keep every residual arc's
-    # reduced cost nonnegative: the free arc u -> v costs red[u, v] =
-    # cost[u, v] + pot_l[u] - pot_r[v], the reverse of a used one
-    # -red[u, v].  Supply equals demand, so no source or sink is needed.
-    pot_l = np.zeros(n)
-    pot_r = cost.min(axis=0)
-    for _ in range(2 * n):
+
+    cost: np.ndarray
+    plan: np.ndarray
+    pot_l: np.ndarray
+    pot_r: np.ndarray
+    top: float
+
+    def duals(self) -> np.ndarray:
+        # Duals a_u = top + pot_l[u], b_v = -pot_r[v] satisfy a_u + b_v >= d_uv
+        # wherever z_uv = 0; the symmetric LP takes their average per vertex.
+        return 0.5 * (self.top + self.pot_l - self.pot_r)
+
+    def __iter__(self):
+        """Unpack as (z, y): the plan and the duals."""
+        return iter((self.plan, self.duals()))
+
+
+def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
+    """Route every unit of supply to demand along shortest paths, in place.
+
+    Each augmentation is a dense Dijkstra in O(n^2) from the rows with
+    supply left that stops at the first column with demand left
+    (Jonker & Volgenant 1987).  Raises InfeasibleLP when a unit of
+    supply reaches no column with demand.
+    """
+    cost, plan, pot_l, pot_r = t.cost, t.plan, t.pot_l, t.pot_r
+    n = len(supply)
+    for _ in range(int(supply.sum())):
         red = cost + pot_l[:, None] - pot_r[None, :]
         # Clamping rounding errors at zero keeps the search a true Dijkstra.
-        forward = np.where(z, np.inf, np.maximum(red, 0.0))
+        forward = np.where(plan, np.inf, np.maximum(red, 0.0))
         dist_l = np.where(supply > 0, 0.0, np.inf)
         via_r = np.full(n, -1)
         through = dist_l[:, None] + forward
@@ -277,11 +314,11 @@ def two_matching_lp(dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             pending = np.where(open_r, dist_r, np.inf)
             v = int(pending.argmin())
             if not pending[v] < np.inf:
-                raise RuntimeError("transportation problem is infeasible")
+                raise InfeasibleLP("transportation problem is infeasible")
             if demand[v] > 0:
                 break
             open_r[v] = False
-            for u in np.flatnonzero(z[:, v]):
+            for u in np.flatnonzero(plan[:, v]):
                 label = dist_r[v] + max(0.0, -red[u, v])
                 if label >= dist_l[u]:
                     continue
@@ -298,15 +335,88 @@ def two_matching_lp(dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         demand[v] -= 1
         while True:
             u = via_l[v]
-            z[u, v] = True
+            plan[u, v] = True
             if via_r[u] < 0:
                 supply[u] -= 1
                 break
             v = via_r[u]
-            z[u, v] = False
-    # Duals a_u = top + pot_l[u], b_v = -pot_r[v] satisfy a_u + b_v >= d_uv
-    # wherever z_uv = 0; the symmetric LP takes their average per vertex.
-    return z, 0.5 * (top + pot_l - pot_r)
+            plan[u, v] = False
+
+
+def two_matching_lp(
+    dist: np.ndarray, forbidden: Sequence[Edge] = (), forced: Sequence[Edge] = ()
+) -> TransportPlan:
+    """Fractional 2-matching LP as a transportation problem.
+
+    The result unpacks as (z, y).  z is a maximum-weight 0/1 plan on the
+    bipartite double cover (zero diagonal, every row and column sum 2),
+    found by 2n shortest augmenting paths, so in O(n^3).  y holds vertex
+    duals of the symmetric LP, derived from the final potentials.
+
+    The forbidden pairs get no arc.  The forced pairs count as already
+    chosen: they get no arc either, and vertex v's row and column sums
+    drop to b_v = 2 - (forced pairs at v).  Raises InfeasibleLP when no
+    plan exists.
+    """
+    n = dist.shape[0]
+    b = _free_degrees(n, forced)
+    if (b < 0).any():
+        raise InfeasibleLP("transportation problem is infeasible: a vertex has 3 forced pairs")
+    top = float(dist.max())
+    # A plan always has sum(b) arcs, so shifting every cost by top changes
+    # no optimum and makes all costs nonnegative.
+    cost = top - dist
+    np.fill_diagonal(cost, np.inf)
+    for u, v in (*forbidden, *forced):
+        cost[u, v] = cost[v, u] = np.inf
+    # A column with no arc at all belongs to a vertex with b_v = 0, or no
+    # augmenting path reaches it and the problem is infeasible.
+    pot_r = cost.min(axis=0)
+    pot_r[~np.isfinite(pot_r)] = 0.0
+    t = TransportPlan(cost, np.zeros((n, n), dtype=bool), np.zeros(n), pot_r, top)
+    _augment(t, b.copy(), b.copy())
+    return t
+
+
+def _child_plan(parent: TransportPlan, edge: Edge, force: bool) -> TransportPlan:
+    """The parent's optimal plan re-solved with one more pair forbidden or forced.
+
+    Every used arc at either end of the pair is taken out, in its row and
+    in its column, which leaves those two rows and columns without used
+    arcs.  Shifting their potentials until each of their arcs costs at
+    least 0 then keeps every reduced cost nonnegative, so the few units
+    taken out are routed back by the same shortest augmenting paths: a
+    handful of O(n^2) searches instead of 2n.
+    """
+    u, v = edge
+    t = TransportPlan(
+        parent.cost.copy(), parent.plan.copy(), parent.pot_l.copy(), parent.pot_r.copy(), parent.top
+    )
+    t.cost[u, v] = t.cost[v, u] = np.inf
+    n = len(t.pot_l)
+    supply = np.zeros(n, dtype=int)
+    demand = np.zeros(n, dtype=int)
+    for w in edge:
+        for x in np.flatnonzero(t.plan[w]):
+            t.plan[w, x] = False
+            supply[w] += 1
+            demand[x] += 1
+        for x in np.flatnonzero(t.plan[:, w]):
+            t.plan[x, w] = False
+            supply[x] += 1
+            demand[w] += 1
+    if force:
+        supply[[u, v]] -= 1
+        demand[[u, v]] -= 1
+        if (supply < 0).any():
+            raise InfeasibleLP("transportation problem is infeasible: a vertex has 3 forced pairs")
+    ends = [u, v]
+    red = t.cost[ends] + t.pot_l[ends, None] - t.pot_r[None, :]
+    t.pot_l[ends] -= np.minimum(red.min(axis=1), 0.0)
+    red = t.cost[:, ends] + t.pot_l[:, None] - t.pot_r[None, ends]
+    t.pot_r[ends] += np.minimum(red.min(axis=0), 0.0)
+    _augment(t, supply, demand)
+    return t
 
 
 def _round_even_components(twice_x: np.ndarray, dist: np.ndarray) -> None:
@@ -345,16 +455,46 @@ def _round_even_components(twice_x: np.ndarray, dist: np.ndarray) -> None:
             twice_x[u, v] = twice_x[v, u] = 2 if (i % 2 == 0) == (gain >= 0) else 0
 
 
-def dual_bound(dist: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+def dual_bound(
+    dist: np.ndarray, y: np.ndarray, forbidden: Sequence[Edge] = (), forced: Sequence[Edge] = ()
+) -> Tuple[float, np.ndarray]:
     """Upper bound UB and reduced costs rc of vertex duals y.
 
-    rc is indexed like np.triu_indices(n, 1).  For every y and every
-    cover F, w(F) <= UB - sum of rc over the edges of F.
+    rc is indexed like np.triu_indices(n, 1).  A pair is allowed when it
+    is neither forbidden nor forced and both its ends have b_v > 0 (see
+    two_matching_lp); the others get rc = inf.  For every y and every
+    cover F that holds the forced pairs and no forbidden one,
+
+        w(F) <= UB - sum of rc over F's unforced pairs,
+        UB = sum_forced d_e + sum_v b_v y_v + sum_allowed max(0, d_e - y_u - y_v).
     """
-    iu, iv = np.triu_indices(dist.shape[0], 1)
+    n = dist.shape[0]
+    b = _free_degrees(n, forced)
+    iu, iv = np.triu_indices(n, 1)
     slack = dist[iu, iv] - y[iu] - y[iv]
-    upper = 2.0 * float(y.sum()) + float(np.maximum(slack, 0.0).sum())
-    return upper, np.maximum(-slack, 0.0)
+    excluded = np.zeros((n, n), dtype=bool)
+    for u, v in (*forbidden, *forced):
+        excluded[u, v] = excluded[v, u] = True
+    allowed = (b[iu] > 0) & (b[iv] > 0) & ~excluded[iu, iv]
+    upper = (
+        float(sum(dist[u, v] for u, v in forced))
+        + float(b @ y)
+        + float(np.maximum(slack, 0.0)[allowed].sum())
+    )
+    return upper, np.where(allowed, np.maximum(-slack, 0.0), np.inf)
+
+
+def _lp_point(z: np.ndarray, dist: np.ndarray, forced: Sequence[Edge] = ()) -> np.ndarray:
+    """2x for the LP point of plan z and the forced pairs, even components rounded."""
+    twice_x = z.astype(np.int8) + z.T.astype(np.int8)
+    for u, v in forced:
+        twice_x[u, v] = twice_x[v, u] = 2
+    _round_even_components(twice_x, dist)
+    return twice_x
+
+
+def _integral_cover(inst: Instance, twice_x: np.ndarray) -> CycleCover:
+    return _cover_from_pairs(inst, zip(*np.nonzero(np.triu(twice_x == 2))))
 
 
 def _matching_cover(inst: Instance, pairs: Sequence[Edge]) -> Optional[CycleCover]:
@@ -367,6 +507,80 @@ def _matching_cover(inst: Instance, pairs: Sequence[Edge]) -> Optional[CycleCove
     return decode_matching(inst, matching, pairs)
 
 
+def _branch_and_bound(
+    inst: Instance, root: TransportPlan, twice_x: np.ndarray, upper: float, tol: float
+) -> Tuple[Optional[CycleCover], bool]:
+    """Best-first search for the heaviest cover below a fractional LP point.
+
+    root is the LP's plan, twice_x its rounded point and upper its bound.
+    Each node forbids or forces some pairs; its bound is its own LP's
+    dual_bound, and a node whose LP point is integral yields its heaviest
+    cover.  A node branches on its heaviest half edge, forbidden in one
+    child and forced in the other, and the node with the highest bound
+    goes first.  Nodes within tol of the incumbent are pruned, and so are
+    children with no plan.
+
+    Returns (incumbent, proved): proved says the incumbent is a maximum
+    cover.  After SEARCH_NODE_BUDGET child LPs the search stops unproved,
+    with the heaviest cover found so far, or None.
+    """
+    d = inst.dist
+    incumbent: Optional[CycleCover] = None
+    heap: list = [(-upper, 0, (), (), twice_x, root)]
+    solved = 0
+    while heap:
+        bound, _, forbidden, forced, x, node = heapq.heappop(heap)
+        if incumbent is not None and -bound <= incumbent.weight + tol:
+            break
+        flat = int(np.where(np.triu(x == 1), d, -np.inf).argmax())
+        edge = (flat // inst.n, flat % inst.n)
+        for force in (False, True):
+            if solved == SEARCH_NODE_BUDGET:
+                return incumbent, False
+            solved += 1
+            child = (forbidden, forced + (edge,)) if force else (forbidden + (edge,), forced)
+            try:
+                t = _child_plan(node, edge, force)
+            except InfeasibleLP:
+                continue
+            child_upper, _ = dual_bound(d, t.duals(), *child)
+            if incumbent is not None and child_upper <= incumbent.weight + tol:
+                continue
+            child_x = _lp_point(t.plan, d, child[1])
+            if (child_x == 1).any():
+                heapq.heappush(heap, (-child_upper, solved, *child, child_x, t))
+                continue
+            cover = _integral_cover(inst, child_x)
+            if incumbent is None or cover.weight > incumbent.weight:
+                incumbent = cover
+    return incumbent, True
+
+
+def _near_support_cover(inst: Instance, twice_x: np.ndarray, rc: np.ndarray) -> Tuple[CycleCover, np.ndarray]:
+    """Heaviest cover on the LP support and each vertex's cheapest other pairs.
+
+    The support of a fractional point carries no 2-factor through its odd
+    half cycles; each vertex's cheapest pairs outside it in reduced cost
+    are added, more on every failure, until a cover exists.  Returns the
+    cover and the mask (indexed like rc) of the pairs it is heaviest on.
+    """
+    n = inst.n
+    iu, iv = np.triu_indices(n, 1)
+    support = twice_x[iu, iv] > 0
+    outside = np.full((n, n), np.inf)
+    outside[iu, iv] = outside[iv, iu] = np.where(support, np.inf, rc)
+    by_rc = np.argsort(outside, axis=1, kind="stable")
+    width = 1
+    while True:
+        near = np.zeros((n, n), dtype=bool)
+        np.put_along_axis(near, by_rc[:, : min(width, n - 1)], True, axis=1)
+        tried = support | (near | near.T)[iu, iv]
+        cover = _matching_cover(inst, list(zip(iu[tried], iv[tried])))
+        if cover is not None:
+            return cover, tried
+        width *= 2
+
+
 def max_weight_cycle_cover(inst: Instance) -> CycleCover:
     """Maximum-weight cycle cover, Step 1 of the gluing pipeline.
 
@@ -376,38 +590,22 @@ def max_weight_cycle_cover(inst: Instance) -> CycleCover:
     argument.
     """
     n, d = inst.n, inst.dist
-    z, y = two_matching_lp(d)
-    upper, rc = dual_bound(d, y)
+    root = two_matching_lp(d)
+    upper, rc = dual_bound(d, root.duals())
     tol = PRICING_TOL_FACTOR * n * inst.max_dist()
-    iu, iv = np.triu_indices(n, 1)
-    twice_x = z.astype(np.int8) + z.T.astype(np.int8)
-    _round_even_components(twice_x, d)
-    x = twice_x[iu, iv]
-    if not (x == 1).any():
-        cover = _cover_from_pairs(inst, zip(iu[x == 2], iv[x == 2]))
-        tried = np.zeros(len(rc), dtype=bool)
-    else:
-        # The support of a fractional optimum carries no 2-factor through
-        # its odd half cycles; add each vertex's cheapest edges outside it
-        # in reduced cost, more on every failure, until a cover exists.
-        support = x > 0
-        outside = np.full((n, n), np.inf)
-        outside[iu, iv] = outside[iv, iu] = np.where(support, np.inf, rc)
-        by_rc = np.argsort(outside, axis=1, kind="stable")
-        width = 1
-        cover = None
-        while cover is None:
-            near = np.zeros((n, n), dtype=bool)
-            np.put_along_axis(near, by_rc[:, : min(width, n - 1)], True, axis=1)
-            tried = support | (near | near.T)[iu, iv]
-            cover = _matching_cover(inst, list(zip(iu[tried], iv[tried])))
-            width *= 2
-    if cover.weight >= upper - tol:
+    twice_x = _lp_point(root.plan, d)
+    if not (twice_x == 1).any():
+        return _integral_cover(inst, twice_x)
+    cover, proved = _branch_and_bound(inst, root, twice_x, upper, tol)
+    if proved:
         return cover
+    tried = np.zeros(len(rc), dtype=bool)
+    if cover is None:
+        cover, tried = _near_support_cover(inst, twice_x, rc)
     # Every cover F with w(F) >= w(cover) has rc_e <= UB - w(cover) on each
     # of its edges, so these pairs hold every maximum cover.
     keep = rc <= upper - cover.weight + tol
-    if not (keep & ~tried).any():
+    if cover.weight >= upper - tol or not (keep & ~tried).any():
         return cover
-    return _matching_cover(inst, list(zip(iu[keep], iv[keep])))
-
+    iu, iv = np.triu_indices(n, 1)
+    return _matching_cover(inst, list(zip(iu[keep], iv[keep]))) or cover

@@ -1,9 +1,10 @@
 """Exact maximum-weight perfect matching on general graphs.
 
-This is the exact engine behind :mod:`maxtsp.cyclecover`.  The cover
-solver calls it only when the 2-matching LP comes out fractional, and
-then on a gadget restricted to the LP's candidate pairs; on the full
-gadget it is the oracle the cover tests compare against.  The solver
+This is the exact fallback of :mod:`maxtsp.cyclecover`.  The cover
+solver calls it only when the 2-matching LP comes out fractional and its
+branch and bound spends its node budget unfinished, and then on a gadget
+restricted to the pairs the LP duals keep; on the full gadget it is the
+oracle the cover tests compare against.  The solver
 itself is networkx's blossom implementation (exact for integer weights,
 and exact in practice for the well-separated float weights this package
 feeds it); this module owns the graph/matching types and the
@@ -90,8 +91,9 @@ def max_weight_perfect_matching(g: WeightedGraph) -> Matching:
     Raises ValueError when num_vertices is odd or no perfect matching
     exists.  Deterministic for a fixed input: the graph is handed to the
     engine in sorted edge order and the result is canonicalized.
-    networkx is imported here, not at module load: only a fractional
-    cover LP reaches this function, and the import costs about 18 MB.
+    networkx is imported here, not at module load: only a cover search
+    that runs out of budget reaches this function, and the import costs
+    about 18 MB.
     """
     import networkx as nx
 

@@ -147,6 +147,40 @@ def test_import_leaves_networkx_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process: errors in between must leave
+    # every later call as a fresh process would see it
+    path = write_instance(tmp_path, random_metric(7, 3))
+    argvs = [
+        ["solve", path, "--algoA", "0.5", "--out", "json"],
+        ["solve", path, "--exact", "--bogus"],
+        ["solve", path, "--eptas", "0.1"],
+        ["validate", path],
+        ["solve", path, "--asymptotic"],
+        ["solve", path, "--algoA", "0.5", "--out", "json"],
+        ["bench", "--family", "line", "--n-list", "5", "--seeds", "1", "--solver", "nope"],
+        ["validate", path],
+    ]
+    in_process = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        in_process.append((rc, captured.out, captured.err))
+    src = str(Path(maxtsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxtsp", *argv], capture_output=True, text=True, env=env,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [rc for rc, _, _ in fresh] == [0, 2, 2, 0, 2, 0, 2, 0]
+
+
 class TestSolve:
     def test_algoa_json(self, tmp_path, capsys):
         path = write_instance(tmp_path, equilateral(6))

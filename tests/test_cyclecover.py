@@ -1,6 +1,10 @@
 """Gadget reduction and cycle-cover solvers against enumeration oracles."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from maxtsp.cyclecover import (
     CycleCover,
     build_gadget,
     canonical_cycle,
+    cycle_edges,
     cycle_weight,
     decode_matching,
     dual_bound,
@@ -20,7 +25,7 @@ from maxtsp.cyclecover import (
     two_matching_lp,
 )
 from maxtsp.matching import Matching, max_weight_perfect_matching
-from maxtsp.metricspace import GeneratorSpec, generate
+from maxtsp.metricspace import GeneratorSpec, dump_instance, generate
 
 from conftest import equilateral, integer_metric, line_instance, random_metric
 from oracles import (
@@ -50,6 +55,12 @@ def degenerate_instances(n, seed):
     yield "scale 1e-12", Instance(base.dist * 1e-12)
     yield "scale 1e12", Instance(base.dist * 1e12)
     yield "all zero", Instance(np.zeros((n, n)))
+
+
+def is_fractional(inst):
+    """Whether the cover LP's point stays fractional after rounding."""
+    z, _ = two_matching_lp(inst.dist)
+    return bool((cyclecover._lp_point(z, inst.dist) == 1).any())
 
 
 def random_weights(n, seed, high=10):
@@ -187,16 +198,22 @@ class TestMaxWeightCycleCover:
         assert fast.weight == pytest.approx(full_gadget_cover(inst).weight, rel=1e-9)
 
     def test_fractional_lps_match_full_gadget_blossom(self, monkeypatch):
-        priced = []
+        searched = []
+        child = cyclecover._child_plan
         monkeypatch.setattr(
-            cyclecover, "max_weight_perfect_matching",
-            lambda g: priced.append(g) or max_weight_perfect_matching(g),
+            cyclecover, "_child_plan",
+            lambda *args: searched.append(seed) or child(*args),
         )
+        fractional = []
         for seed in range(40):
             inst = random_weights(10 + seed % 7, seed)
+            if is_fractional(inst):
+                fractional.append(seed)
             # integer weights, so float sums are exact and equality is fair
             assert max_weight_cycle_cover(inst).weight == full_gadget_cover(inst).weight, seed
-        assert len(priced) >= 5
+        # the search ran on every fractional LP, and only there
+        assert sorted(set(searched)) == fractional
+        assert len(searched) >= 5
 
     def test_integral_lp_runs_no_matching(self, monkeypatch):
         calls = []
@@ -209,12 +226,15 @@ class TestMaxWeightCycleCover:
         assert calls == []
         assert cover.weight == pytest.approx(full_gadget_cover(inst).weight, rel=1e-9)
 
-    # Both instances need the second matching run: the cover on the LP
-    # support and each vertex's cheapest other edge is lighter (8.3203 vs
-    # 8.3323, 184 vs 185) than the cover on the pairs the duals keep.
+    # With no search budget the blossom finishes the cover, and with no
+    # incumbent to start from, both instances need its second run: the
+    # cover on the LP support and each vertex's cheapest other edge is
+    # lighter (8.3203 vs 8.3323, 184 vs 185) than the cover on the pairs
+    # the duals keep.
     @pytest.mark.parametrize("inst", [random_metric(12, 33), integer_metric(19, 42)])
     def test_fractional_lp_matches_on_smaller_gadgets(self, monkeypatch, inst):
         sizes = []
+        monkeypatch.setattr(cyclecover, "SEARCH_NODE_BUDGET", 0)
         monkeypatch.setattr(
             cyclecover, "build_gadget",
             lambda inst, pairs: sizes.append(len(pairs)) or build_gadget(inst, pairs),
@@ -237,6 +257,207 @@ class TestMaxWeightCycleCover:
             cover = max_weight_cycle_cover(inst)
             tour = held_karp_max(inst)
             assert cover.weight >= tour.weight - 1e-9 * cover.weight
+
+
+def first_fractional(make, seeds=range(60)):
+    """The first instance make(seed) whose cover LP stays fractional, or None."""
+    for seed in seeds:
+        inst = make(seed)
+        if is_fractional(inst):
+            return inst
+    return None
+
+
+def root_search(inst):
+    """Run the branch and bound from inst's root LP as the cover does."""
+    root = two_matching_lp(inst.dist)
+    upper, _ = dual_bound(inst.dist, root.duals())
+    tol = cyclecover.PRICING_TOL_FACTOR * inst.n * inst.max_dist()
+    return cyclecover._branch_and_bound(
+        inst, root, cyclecover._lp_point(root.plan, inst.dist), upper, tol
+    )
+
+
+def respects(cover, forbidden, forced):
+    edges = cover_edges(cover)
+    return not edges & set(forbidden) and set(forced) <= edges
+
+
+class TestBranchAndBound:
+    @pytest.fixture
+    def children(self, monkeypatch):
+        solved = []
+        child = cyclecover._child_plan
+        monkeypatch.setattr(
+            cyclecover, "_child_plan", lambda *args: solved.append(args[1:]) or child(*args)
+        )
+        return solved
+
+    def test_fractional_random_metric_matches_full_gadget(self, children):
+        # one fractional instance per size where the full gadget is cheap;
+        # n = 6 has none among these seeds
+        searched = 0
+        for n in range(6, 25):
+            inst = first_fractional(lambda seed: random_metric(n, seed))
+            if inst is None:
+                continue
+            children.clear()
+            cover = max_weight_cycle_cover(inst)
+            assert children, n
+            assert cover.weight == pytest.approx(full_gadget_cover(inst).weight, rel=1e-9), n
+            searched += 1
+        assert searched >= 15
+
+    @pytest.mark.parametrize("n", (30, 40, 50, 60))
+    def test_fractional_random_metric_matches_the_blossom(self, monkeypatch, children, n):
+        # the full gadget takes seconds here: the blossom on the pairs the
+        # duals keep, which the cover ran on every fractional LP before the
+        # search, is the oracle
+        inst = first_fractional(lambda seed: random_metric(n, seed))
+        cover = max_weight_cycle_cover(inst)
+        assert children
+        monkeypatch.setattr(cyclecover, "SEARCH_NODE_BUDGET", 0)
+        assert cover.weight == pytest.approx(max_weight_cycle_cover(inst).weight, rel=1e-9)
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_integer_metric_matches_full_gadget_exactly(self, children, n):
+        inst = first_fractional(lambda seed: integer_metric(n, seed), range(150))
+        # integer weights, so float sums are exact and equality is fair
+        assert max_weight_cycle_cover(inst).weight == full_gadget_cover(inst).weight
+        assert children
+
+    @pytest.mark.parametrize("budget", (0, 1))
+    def test_exhausted_budget_falls_back_to_one_blossom(self, monkeypatch, budget):
+        monkeypatch.setattr(cyclecover, "SEARCH_NODE_BUDGET", budget)
+        gadgets = []
+        monkeypatch.setattr(
+            cyclecover, "build_gadget",
+            lambda inst, pairs: gadgets.append(len(pairs)) or build_gadget(inst, pairs),
+        )
+        outcomes = set()
+        for n in range(10, 30):
+            inst = first_fractional(lambda seed: random_metric(n, seed))
+            if inst is None:
+                continue
+            incumbent, proved = root_search(inst)
+            assert not proved
+            gadgets.clear()
+            cover = max_weight_cycle_cover(inst)
+            monkeypatch.setattr(cyclecover, "SEARCH_NODE_BUDGET", 10_000)
+            assert cover.weight == pytest.approx(max_weight_cycle_cover(inst).weight, rel=1e-12), n
+            monkeypatch.setattr(cyclecover, "SEARCH_NODE_BUDGET", budget)
+            if incumbent is not None:
+                assert len(gadgets) == 1, n
+            assert gadgets, n
+            outcomes.add(incumbent is not None)
+        # budget 0 never has an incumbent; budget 1 has one when the first
+        # child's LP point is integral, on some instances but not all
+        assert outcomes == ({False} if budget == 0 else {False, True})
+
+    @pytest.mark.parametrize("n", (6, 7, 8))
+    def test_children_with_no_plan_raise_only_infeasible(self, n):
+        d = random_metric(n, n).dist
+        infeasible = [
+            ((), ((0, 1), (0, 2), (0, 3))),  # three forced pairs at vertex 0
+            (tuple((0, v) for v in range(2, n)), ()),  # vertex 0 keeps one partner
+            # 0 needs two partners, but 1 and 2 are full and the rest forbidden
+            (tuple((0, v) for v in range(3, n)), ((1, 3), (1, 4), (2, 3), (2, 4))),
+            # a forced cycle fills 2..n-1, and 0 and 1 may not pair: arcs
+            # from the full vertices reach 0 and 1, but no augmenting path
+            (((0, 1),), tuple(cycle_edges(range(2, n)))),
+        ]
+        for forbidden, forced in infeasible:
+            with pytest.raises(cyclecover.InfeasibleLP):
+                two_matching_lp(d, forbidden, forced)
+        root = two_matching_lp(d)
+        with pytest.raises(cyclecover.InfeasibleLP):
+            t = cyclecover._child_plan(root, (0, 1), True)
+            t = cyclecover._child_plan(t, (0, 2), True)
+            cyclecover._child_plan(t, (0, 3), True)
+
+    @pytest.mark.parametrize("n", (6, 7, 8))
+    def test_search_prunes_children_with_no_plan(self, monkeypatch, n):
+        # every forbidding child is declared without a plan: the search
+        # must drop them and still end with the heaviest cover holding the
+        # pairs it forced
+        child = cyclecover._child_plan
+
+        def only_forcing(node, edge, force):
+            if not force:
+                raise cyclecover.InfeasibleLP("no plan")
+            return child(node, edge, force)
+
+        monkeypatch.setattr(cyclecover, "_child_plan", only_forcing)
+        for make in (lambda seed: random_metric(n, seed), lambda seed: random_weights(n, seed)):
+            inst = first_fractional(make, range(200))
+            if inst is None:
+                continue
+            cover, proved = root_search(inst)
+            assert proved and cover is not None
+            assert cover.weight <= cycle_cover_brute_force(inst).weight + 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(4, 8),
+        seed=st.integers(0, 10_000),
+        picks=st.lists(st.tuples(st.integers(0, 27), st.booleans()), max_size=5),
+    )
+    def test_child_bound_covers_every_cover_it_keeps(self, n, seed, picks):
+        inst = random_weights(n, seed) if seed % 2 else random_metric(n, seed)
+        pairs = all_pairs(n)
+        chosen = {}
+        for i, force in picks:
+            chosen.setdefault(pairs[i % len(pairs)], force)
+        forbidden = tuple(pair for pair, force in chosen.items() if not force)
+        forced = tuple(pair for pair, force in chosen.items() if force)
+        kept = [c for c in all_two_factors(inst) if respects(c, forbidden, forced)]
+        # the same constraints one at a time, each re-solved from its parent
+        warm = two_matching_lp(inst.dist)
+        try:
+            for i, pair in enumerate(forbidden + forced):
+                warm = cyclecover._child_plan(warm, pair, i >= len(forbidden))
+        except cyclecover.InfeasibleLP:
+            warm = None
+        try:
+            z, y = two_matching_lp(inst.dist, forbidden, forced)
+        except cyclecover.InfeasibleLP:
+            assert kept == [] and warm is None
+            return
+        assert warm is not None
+        upper, rc = dual_bound(inst.dist, y, forbidden, forced)
+        warm_upper, _ = dual_bound(inst.dist, warm.duals(), forbidden, forced)
+        lp_value = float((inst.dist * z).sum()) / 2.0 + sum(inst.dist[e] for e in forced)
+        warm_value = float((inst.dist * warm.plan).sum()) / 2.0 + sum(inst.dist[e] for e in forced)
+        scale = 1e-9 * max(1.0, float(inst.dist.sum()))
+        assert warm_value == pytest.approx(lp_value, abs=scale)
+        assert upper == pytest.approx(lp_value, abs=scale)
+        assert warm_upper == pytest.approx(lp_value, abs=scale)
+        for cover in kept:
+            priced = sum(rc[pair_rank(u, v, n)] for u, v in cover_edges(cover) - set(forced))
+            assert cover.weight <= upper - priced + scale
+
+    def test_fractional_solves_leave_networkx_unloaded(self, tmp_path):
+        # these seeds' cover LPs are fractional at n = 24; the search closes
+        # them without the blossom
+        paths = []
+        for seed in (4, 16, 23, 43, 46, 56):
+            inst = random_metric(24, seed)
+            assert is_fractional(inst)
+            path = tmp_path / f"rm-{seed}.txt"
+            path.write_text(dump_instance(inst), encoding="utf-8")
+            paths.append(str(path))
+        script = (
+            "import sys, maxtsp.cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert maxtsp.cli.main(['solve', path, '--algoA', '0.5']) == 0\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        src = str(Path(cyclecover.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script, *paths], capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "False"
 
 
 def assert_optimal_plan(dist, label=""):
