@@ -11,7 +11,6 @@ from .metricspace import (
     Instance,
     MetricReport,
     dump_instance,
-    estimate_doubling,
     generate,
     load_instance,
     validate_metric,
@@ -30,7 +29,6 @@ __all__ = [
     "asymptotic",
     "dump_instance",
     "eptas",
-    "estimate_doubling",
     "exact_dp",
     "generate",
     "held_karp_max",

@@ -6,8 +6,11 @@ The cover is priced by the fractional 2-matching LP
 
 solved exactly as a capacitated transportation problem on the bipartite
 double cover (Edmonds 1965): arcs u -> v for u != v with capacity 1,
-supply and demand 2 at every vertex.  With z an optimal 0/1 flow, the
-symmetrisation x = (z + z^T) / 2 is a half-integral optimal LP point.
+supply and demand 2 at every vertex.  A column and a row reduction give
+every arc a reduced cost of at least 0; the arcs of cost 0 are placed
+first, and shortest augmenting paths route the units left (Jonker &
+Volgenant 1987).  With z an optimal 0/1 flow, the symmetrisation
+x = (z + z^T) / 2 is a half-integral optimal LP point.
 Its half edges that form components with an even edge count are rounded
 to 0/1 along an Euler circuit, which keeps x feasible and optimal.  When
 x is then integral it is itself a maximum cover and nothing more is
@@ -291,56 +294,71 @@ class TransportPlan:
 
 
 def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
-    """Route every unit of supply to demand along shortest paths, in place.
+    """Route every unit of supply left to demand along shortest paths, in place.
 
     Each augmentation is a dense Dijkstra in O(n^2) from the rows with
     supply left that stops at the first column with demand left
-    (Jonker & Volgenant 1987).  Raises InfeasibleLP when a unit of
-    supply reaches no column with demand.
+    (Jonker & Volgenant 1987).  The plan's used arcs must cost 0 and its
+    free arcs at least 0, and both stay so.  Raises InfeasibleLP when a
+    unit of supply reaches no column with demand.
     """
     cost, plan, pot_l, pot_r = t.cost, t.plan, t.pot_l, t.pot_r
     n = len(supply)
+    # The used rows of each column, kept along every augmenting path.
+    used: List[List[int]] = [[] for _ in range(n)]
+    for u, v in zip(*np.nonzero(plan)):
+        used[int(v)].append(int(u))
+    red = np.empty((n, n))
+    forward = np.empty((n, n))
+    better = np.empty(n, dtype=bool)
     for _ in range(int(supply.sum())):
-        red = cost + pot_l[:, None] - pot_r[None, :]
+        np.add(cost, pot_l[:, None], out=red)
+        red -= pot_r
         # Clamping rounding errors at zero keeps the search a true Dijkstra.
-        forward = np.where(plan, np.inf, np.maximum(red, 0.0))
-        dist_l = np.where(supply > 0, 0.0, np.inf)
+        np.maximum(red, 0.0, out=forward)
+        forward[plan] = np.inf
+        dist_l = np.full(n, np.inf)
+        sources = np.flatnonzero(supply > 0)
+        dist_l[sources] = 0.0
         via_r = np.full(n, -1)
-        through = dist_l[:, None] + forward
-        via_l = through.argmin(axis=0)
-        dist_r = through[via_l, np.arange(n)]
-        open_r = np.ones(n, dtype=bool)
+        via_l = sources[forward[sources].argmin(axis=0)]
+        dist_r = forward[via_l, np.arange(n)]
+        # dist_r on the open columns and inf on the closed ones.
+        pending = dist_r.copy()
         while True:
-            pending = np.where(open_r, dist_r, np.inf)
             v = int(pending.argmin())
-            if not pending[v] < np.inf:
+            reach = float(pending[v])
+            if not reach < np.inf:
                 raise InfeasibleLP("transportation problem is infeasible")
             if demand[v] > 0:
                 break
-            open_r[v] = False
-            for u in np.flatnonzero(plan[:, v]):
-                label = dist_r[v] + max(0.0, -red[u, v])
+            pending[v] = np.inf
+            for u in used[v]:
+                label = reach + max(0.0, -red[u, v])
                 if label >= dist_l[u]:
                     continue
                 dist_l[u] = label
                 via_r[u] = v
                 row = label + forward[u]
-                better = open_r & (row < dist_r)
-                dist_r[better] = row[better]
-                via_l[better] = u
+                # Labels only grow, so a closed column never gets better.
+                np.less(row, dist_r, out=better)
+                np.copyto(dist_r, row, where=better)
+                np.copyto(pending, row, where=better)
+                np.copyto(via_l, u, where=better)
         # Labels capped at dist_r[v] keep every reduced cost nonnegative.
-        reach = dist_r[v]
         pot_l += np.minimum(dist_l, reach)
         pot_r += np.minimum(dist_r, reach)
         demand[v] -= 1
         while True:
-            u = via_l[v]
+            u = int(via_l[v])
             plan[u, v] = True
+            used[v].append(u)
             if via_r[u] < 0:
                 supply[u] -= 1
                 break
-            v = via_r[u]
+            v = int(via_r[u])
             plan[u, v] = False
+            used[v].remove(u)
 
 
 def two_matching_lp(
@@ -349,9 +367,12 @@ def two_matching_lp(
     """Fractional 2-matching LP as a transportation problem.
 
     The result unpacks as (z, y).  z is a maximum-weight 0/1 plan on the
-    bipartite double cover (zero diagonal, every row and column sum 2),
-    found by 2n shortest augmenting paths, so in O(n^3).  y holds vertex
-    duals of the symmetric LP, derived from the final potentials.
+    bipartite double cover (zero diagonal, every row and column sum 2).
+    A column and then a row reduction of the costs give potentials under
+    which every arc costs at least 0; the start places arcs of cost 0
+    greedily, and shortest augmenting paths route the units left, each
+    in O(n^2), so O(n^3) in all.  y holds vertex duals of the symmetric
+    LP, derived from the final potentials.
 
     The forbidden pairs get no arc.  The forced pairs count as already
     chosen: they get no arc either, and vertex v's row and column sums
@@ -369,12 +390,23 @@ def two_matching_lp(
     np.fill_diagonal(cost, np.inf)
     for u, v in (*forbidden, *forced):
         cost[u, v] = cost[v, u] = np.inf
-    # A column with no arc at all belongs to a vertex with b_v = 0, or no
-    # augmenting path reaches it and the problem is infeasible.
+    # A row or column with no arc at all belongs to a vertex with b_v = 0,
+    # or the problem is infeasible and _augment raises.
     pot_r = cost.min(axis=0)
     pot_r[~np.isfinite(pot_r)] = 0.0
-    t = TransportPlan(cost, np.zeros((n, n), dtype=bool), np.zeros(n), pot_r, top)
-    _augment(t, b.copy(), b.copy())
+    pot_l = -(cost - pot_r).min(axis=1)
+    pot_l[~np.isfinite(pot_l)] = 0.0
+    t = TransportPlan(cost, np.zeros((n, n), dtype=bool), pot_l, pot_r, top)
+    supply, demand = b.copy(), b.copy()
+    # Every arc now costs at least 0, so a plan of arcs that cost 0 keeps
+    # _augment's invariants.
+    zero = cost + pot_l[:, None] - pot_r[None, :] <= 0.0
+    for u in np.flatnonzero(supply):
+        cols = np.flatnonzero(zero[u] & (demand > 0))[: supply[u]]
+        t.plan[u, cols] = True
+        supply[u] -= len(cols)
+        demand[cols] -= 1
+    _augment(t, supply, demand)
     return t
 
 
@@ -386,7 +418,7 @@ def _child_plan(parent: TransportPlan, edge: Edge, force: bool) -> TransportPlan
     arcs.  Shifting their potentials until each of their arcs costs at
     least 0 then keeps every reduced cost nonnegative, so the few units
     taken out are routed back by the same shortest augmenting paths: a
-    handful of O(n^2) searches instead of 2n.
+    handful of O(n^2) searches instead of a fresh solve.
     """
     u, v = edge
     t = TransportPlan(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,9 @@ FAMILIES = ("line", "euclidean", "random-metric")
 # largest distance in the matrix, with no floor: an all-zero matrix gets
 # tolerance 0, which it meets exactly.
 DEFAULT_TOL_FACTOR = 1e-9
+
+# parse_instance splits the text in pieces of about this many characters.
+_PARSE_CHUNK = 1 << 16
 
 # Row blocks of the min-plus triangle check hold about this many entries,
 # so a block and its scratch buffer stay in cache across the pass over k.
@@ -366,41 +369,6 @@ def generate(spec: GeneratorSpec) -> Instance:
     return Instance(_closure(raw))
 
 
-def estimate_doubling(inst: Instance, levels: int = 3) -> float:
-    """Empirical doubling-dimension estimate via greedy half-radius covers.
-
-    For sampled centers and a ladder of radii, greedily cover each ball
-    with balls of half the radius (farthest-first center choice) and
-    return log2 of the largest cover seen.  Diagnostic only; no bound in
-    this package is certified from this value.
-    """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    d = inst.dist
-    n = inst.n
-    r_max = inst.max_dist()
-    if r_max == 0.0:
-        return 0.0
-    centers = np.unique(np.linspace(0, n - 1, num=min(n, 64)).astype(int))
-    worst = 1
-    for c in centers:
-        for j in range(levels):
-            r = r_max / (2.0**j)
-            ball = np.flatnonzero(d[c] <= r)
-            covered = np.zeros(ball.size, dtype=bool)
-            count = 0
-            # farthest-first: repeatedly cover the uncovered point farthest
-            # from the ball center with a half-radius ball around it
-            dc = d[c][ball]
-            while not covered.all():
-                cand = np.flatnonzero(~covered)
-                p = cand[int(np.argmax(dc[cand]))]
-                covered |= d[ball[p]][ball] <= r / 2.0
-                count += 1
-            worst = max(worst, count)
-    return math.log2(worst)
-
-
 def dump_instance(inst: Instance) -> str:
     """Serialize to the text format; decimal fields use shortest round-trip form.
 
@@ -415,6 +383,48 @@ def dump_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonblank_lines(text: str) -> Iterator[str]:
+    """The stripped nonblank lines of text, one at a time.
+
+    The same lines as text.splitlines() gives, without a second copy of
+    the whole text: it is split in pieces of about _PARSE_CHUNK
+    characters, each cut after a newline.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PARSE_CHUNK)
+        end = len(text) if end < 0 else end + 1
+        for line in text[start:end].splitlines():
+            line = line.strip()
+            if line:
+                yield line
+        start = end
+
+
+def _float_rows(lines: Iterator[str], n: int, what: str, entry: str) -> Iterator[Tuple[int, List[float]]]:
+    """The rest of the lines, n expected, as (index, floats) pairs.
+
+    After the last line it raises ValueError when the line count is not
+    n, else when a value did not parse.  No line after a bad one, or
+    after the n-th, is parsed.
+    """
+    count = 0
+    bad: Optional[ValueError] = None
+    for line in lines:
+        if bad is None and count < n:
+            try:
+                values = list(map(float, line.split()))
+            except ValueError as exc:
+                bad = exc
+            else:
+                yield count, values
+        count += 1
+    if count != n:
+        raise ValueError(f"expected {n} {what}, got {count}")
+    if bad is not None:
+        raise ValueError(f"{entry}: {bad}")
+
+
 def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
     """Parse the text format without the O(n^3) triangle check.
 
@@ -426,12 +436,13 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
     triangle check.  A NaN or negative tol raises ValueError.
     """
     sym_tol = None if tol is None else check_tol(tol)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = _nonblank_lines(text)
+    first = next(lines, None)
+    if first is None:
         raise ValueError("empty instance file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 4 or header[0] != "maxtsp" or header[1] != "v1":
-        raise ValueError(f"bad header {lines[0]!r}, expected 'maxtsp v1 <n> <mode>'")
+        raise ValueError(f"bad header {first!r}, expected 'maxtsp v1 <n> <mode>'")
     try:
         n = int(header[2])
     except ValueError:
@@ -441,21 +452,14 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
         raise ValueError(f"need at least 3 vertices, got {n}")
 
     if mode == "matrix":
-        body = lines[1:]
-        if len(body) != n:
-            raise ValueError(f"expected {n} matrix rows, got {len(body)}")
         # a bad entry in any row is reported before a row of the wrong length
         dist = np.empty((n, n))
         ragged = False
-        try:
-            for row, ln in zip(dist, body):
-                values = list(map(float, ln.split()))
-                if len(values) == n:
-                    row[:] = values
-                else:
-                    ragged = True
-        except ValueError as exc:
-            raise ValueError(f"bad matrix entry: {exc}") from None
+        for i, values in _float_rows(lines, n, "matrix rows", "bad matrix entry"):
+            if len(values) == n:
+                dist[i] = values
+            else:
+                ragged = True
         if ragged:
             raise ValueError(f"matrix rows must have {n} entries")
         _check_finite(dist)
@@ -465,11 +469,12 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
             dist = np.minimum(dist, dist.T)
         inst = Instance(dist)
     elif mode == "points":
-        if len(lines) < 2:
+        norm_text = next(lines, None)
+        if norm_text is None:
             raise ValueError("points mode needs a 'norm <tag> dim <d>' line")
-        norm_line = lines[1].split()
+        norm_line = norm_text.split()
         if len(norm_line) != 4 or norm_line[0] != "norm" or norm_line[2] != "dim":
-            raise ValueError(f"bad norm line {lines[1]!r}")
+            raise ValueError(f"bad norm line {norm_text!r}")
         norm = norm_line[1]
         if norm not in NORM_TAGS:
             raise ValueError(f"unknown norm tag {norm!r}")
@@ -477,13 +482,7 @@ def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
             d = int(norm_line[3])
         except ValueError:
             raise ValueError(f"bad coordinate dimension {norm_line[3]!r}") from None
-        body = lines[2:]
-        if len(body) != n:
-            raise ValueError(f"expected {n} point rows, got {len(body)}")
-        try:
-            pts = [[float(x) for x in ln.split()] for ln in body]
-        except ValueError as exc:
-            raise ValueError(f"bad coordinate: {exc}") from None
+        pts = [values for _, values in _float_rows(lines, n, "point rows", "bad coordinate")]
         if any(len(p) != d for p in pts):
             raise ValueError(f"point rows must have {d} coordinates")
         inst = Instance.from_points(pts, norm)

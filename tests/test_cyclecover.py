@@ -229,9 +229,9 @@ class TestMaxWeightCycleCover:
     # With no search budget the blossom finishes the cover, and with no
     # incumbent to start from, both instances need its second run: the
     # cover on the LP support and each vertex's cheapest other edge is
-    # lighter (8.3203 vs 8.3323, 184 vs 185) than the cover on the pairs
+    # lighter (8.3203 vs 8.3323, 68 vs 69) than the cover on the pairs
     # the duals keep.
-    @pytest.mark.parametrize("inst", [random_metric(12, 33), integer_metric(19, 42)])
+    @pytest.mark.parametrize("inst", [random_metric(12, 33), integer_metric(23, 237, high=10)])
     def test_fractional_lp_matches_on_smaller_gadgets(self, monkeypatch, inst):
         sizes = []
         monkeypatch.setattr(cyclecover, "SEARCH_NODE_BUDGET", 0)
@@ -460,15 +460,31 @@ class TestBranchAndBound:
         assert out.stdout.splitlines()[-1] == "False"
 
 
-def assert_optimal_plan(dist, label=""):
-    """The LP plan is a double cover and its duals close the gap; returns its weight."""
-    z, y = two_matching_lp(dist)
+def assert_optimal_plan(dist, label="", forbidden=(), forced=()):
+    """The LP plan meets every b_v on the allowed arcs and its duals close the gap.
+
+    Returns its weight, the forced pairs' included.
+    """
+    z, y = two_matching_lp(dist, forbidden, forced)
+    b = 2 - np.bincount(np.ravel(forced).astype(int), minlength=len(dist))
     assert not z.diagonal().any(), label
-    assert (z.sum(axis=0) == 2).all() and (z.sum(axis=1) == 2).all(), label
-    upper, _ = dual_bound(dist, y)
-    lp_value = float((dist * z).sum()) / 2.0
+    assert (z.sum(axis=0) == b).all() and (z.sum(axis=1) == b).all(), label
+    for u, v in (*forbidden, *forced):
+        assert not z[u, v] and not z[v, u], label
+    upper, _ = dual_bound(dist, y, forbidden, forced)
+    lp_value = sum(float(dist[e]) for e in forced) + float((dist * z).sum()) / 2.0
     assert upper == pytest.approx(lp_value, rel=1e-12), label
     return lp_value
+
+
+def some_constraints(n, seed):
+    """A feasible constraint set: a forced path through vertex 1 (b_1 = 0),
+    one more forced pair and three forbidden pairs among the other vertices."""
+    rng = np.random.default_rng(seed)
+    rest = [int(v) for v in rng.permutation(np.arange(3, n))]
+    forced = ((0, 1), (1, 2), (rest[0], rest[1]))
+    forbidden = ((0, 2), (rest[2], rest[3]), (rest[1], rest[4]))
+    return forbidden, forced
 
 
 class TestTwoMatchingLP:
@@ -478,6 +494,46 @@ class TestTwoMatchingLP:
         for n in range(3, 10):
             for kind, inst in degenerate_instances(n, seed=n):
                 assert_optimal_plan(inst.dist, (n, kind))
+
+    @pytest.mark.parametrize("family", ["line", "euclidean", "random-metric"])
+    @pytest.mark.parametrize("n", [24, 60])
+    def test_start_keeps_the_plan_optimal(self, family, n):
+        for seed in range(3):
+            spec = GeneratorSpec(family=family, n=n, seed=seed, d=2 if family == "euclidean" else None)
+            assert_optimal_plan(generate(spec).dist, seed)
+
+    def test_start_keeps_the_plan_optimal_without_metric(self):
+        # integer weights with many ties, and no triangle inequality
+        for n in range(3, 21):
+            for seed in range(3):
+                assert_optimal_plan(random_weights(n, seed).dist, (n, seed))
+
+    @pytest.mark.parametrize("n", [24, 60])
+    def test_start_keeps_degenerate_plans_optimal(self, n):
+        # all-zero and duplicate points tie every arc or many of them
+        for kind, inst in degenerate_instances(n, seed=n):
+            assert_optimal_plan(inst.dist, kind)
+
+    def test_constrained_plans_are_optimal(self):
+        for n in (8, 13, 24, 60):
+            forbidden, forced = some_constraints(n, seed=n)
+            assert_optimal_plan(random_metric(n, n).dist, n, forbidden, forced)
+            assert_optimal_plan(line_instance(n, n).dist, n, forbidden, forced)
+            assert_optimal_plan(random_weights(n, n).dist, n, forbidden, forced)
+            for kind, inst in degenerate_instances(n, seed=n):
+                assert_optimal_plan(inst.dist, (n, kind), forbidden, forced)
+
+    def test_start_leaves_fewer_units_to_augment(self, monkeypatch):
+        routed = []
+        augment = cyclecover._augment
+        monkeypatch.setattr(
+            cyclecover, "_augment",
+            lambda t, supply, demand: routed.append(int(supply.sum())) or augment(t, supply, demand),
+        )
+        n = 60
+        assert_optimal_plan(line_instance(n, seed=0).dist)
+        # of the 2n units, the column minima alone would leave 116 here
+        assert len(routed) == 1 and routed[0] < n // 2
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,4 +1,4 @@
-"""Instance model, validation, generation, doubling estimate, file I/O."""
+"""Instance model, validation, generation, file I/O."""
 
 import concurrent.futures
 import math
@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from maxtsp import (
     GeneratorSpec,
     Instance,
     dump_instance,
-    estimate_doubling,
     generate,
     load_instance,
     validate_metric,
@@ -490,26 +490,6 @@ class TestWorkerCount:
         assert out.stdout.strip() == "False"
 
 
-class TestEstimateDoubling:
-    def test_all_zero_distances(self):
-        assert estimate_doubling(Instance(np.zeros((5, 5)))) == 0.0
-
-    @pytest.mark.parametrize("dist", [np.zeros((5, 5)), np.ones((5, 5)) - np.eye(5)])
-    def test_levels_below_one_raise(self, dist):
-        with pytest.raises(ValueError, match="levels"):
-            estimate_doubling(Instance(dist), levels=0)
-
-    def test_equilateral_is_log_n(self):
-        # the full-radius ball holds everything and every half-radius ball
-        # only its own center
-        assert estimate_doubling(equilateral(8)) == pytest.approx(3.0)
-
-    def test_line_stays_low(self):
-        for seed in (0, 1, 2):
-            inst = generate(GeneratorSpec(family="line", n=50, seed=seed))
-            assert estimate_doubling(inst, levels=4) <= 2.0 + 0.7
-
-
 class TestFileFormat:
     def test_matrix_example(self):
         text = "maxtsp v1 3 matrix\n0 1 1\n1 0 1\n1 1 0\n"
@@ -568,6 +548,39 @@ class TestFileFormat:
         with pytest.raises(ValueError) as exc:
             parse_instance(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        (
+            ("maxtsp v1 3 matrix\n0 1 x\n1 0 1\n", "expected 3 matrix rows, got 2"),
+            ("maxtsp v1 3 matrix\n0 1\n1 0 1\n1 1 0\n1 1 0\nz\n", "expected 3 matrix rows, got 5"),
+            ("maxtsp v1 3 points\nnorm euclidean dim 1\n0\nq\n", "expected 3 point rows, got 2"),
+            ("maxtsp v1 3 points\nnorm euclidean dim 2\n0\nq\n1 1\n", "bad coordinate: could not convert string to float: 'q'"),
+            ("maxtsp v1 3 points\nnorm euclidean dim 2\n0\n1 1\n1 1\n", "point rows must have 2 coordinates"),
+            ("maxtsp v1 3 points\n\n  \n", "points mode needs a 'norm <tag> dim <d>' line"),
+            (" \n\t\n", "empty instance file"),
+        ),
+    )
+    def test_a_wrong_row_count_is_reported_first(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.text(alphabet=" \t01x\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\u3000", max_size=40),
+        chunk=st.sampled_from([1, 2, 3, 5, 1 << 16]),
+    )
+    def test_lines_are_those_of_splitlines(self, text, chunk):
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        with mock.patch.object(metricspace, "_PARSE_CHUNK", chunk):
+            assert list(metricspace._nonblank_lines(text)) == lines
+
+    def test_every_line_ending_parses(self):
+        rows = ["maxtsp v1 3 matrix", "0 1 1", "1 0 1", "1 1 0"]
+        for end in ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"):
+            inst = parse_instance(end.join(rows) + end)
+            assert np.array_equal(inst.dist, np.ones((3, 3)) - np.eye(3)), repr(end)
 
     @pytest.mark.parametrize(
         "text",

@@ -19,9 +19,8 @@ PUBLIC_NAMES = {
     # the exact DP's tour and the maximum cover alone
     "held_karp_max",
     "max_weight_cycle_cover",
-    # instance I/O and diagnostics
+    # instance I/O and the metric check
     "dump_instance",
-    "estimate_doubling",
     "generate",
     "load_instance",
     "validate_metric",
@@ -108,7 +107,7 @@ def test_cycle_finder_sees_a_cycle():
 
 
 def test_public_namespace_is_pinned():
-    assert len(maxtsp.__all__) == len(PUBLIC_NAMES) == 18
+    assert len(maxtsp.__all__) == len(PUBLIC_NAMES) == 17
     assert set(maxtsp.__all__) == PUBLIC_NAMES
     for name in maxtsp.__all__:
         assert getattr(maxtsp, name) is not None
