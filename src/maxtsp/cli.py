@@ -109,7 +109,7 @@ def _solver(name: str, param, dim: Optional[float], parser, flag: str):
 
 def _cmd_solve(args, parser) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        inst = load_instance(fh.read())
+        inst = load_instance(fh)
     for name in SOLVER_SPECS:
         param = getattr(args, name.replace("-", "_"))
         if param is not None and param is not False:
@@ -148,12 +148,13 @@ def _cmd_validate(args) -> int:
     if args.tol is not None:
         check_tol(args.tol)
     with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        inst = parse_instance(text, tol=args.tol)
-    except ValueError as exc:
-        print(f"invalid: {exc}")
-        return 1
+        try:
+            inst = parse_instance(fh, tol=args.tol)
+        except UnicodeDecodeError:
+            raise  # a file that is not UTF-8 is an error, not an invalid instance
+        except ValueError as exc:
+            print(f"invalid: {exc}")
+            return 1
     report = validate_metric(inst, tol=args.tol)
     if not report.passed:
         print(f"invalid: {metric_violation(report)}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -311,23 +311,39 @@ def pairwise_distances(points: Sequence[Sequence[float]], norm: str) -> np.ndarr
     and every distance that neither version overflows or underflows is
     bit-identical to the unscaled formula.  Distances too large for a
     float come out as inf, which :class:`Instance` rejects.
+
+    Rows are computed in blocks whose n x n x d differences hold about
+    _BLOCK_ENTRIES entries (at least one row), so the only n x n arrays
+    are the result and its symmetrized copy.  Each block evaluates the
+    whole-array formula on its rows, reducing over the coordinates of
+    each pair as that formula does, so every entry is bit-identical to it.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array-like")
+    if norm not in NORM_TAGS:
+        raise ValueError(f"unknown norm tag {norm!r}")
+    n, dim = pts.shape
+    rows = max(1, min(n, _BLOCK_ENTRIES // max(1, n * dim)))
+    d = np.empty((n, n))
+    diff = np.empty((rows, n, dim))
     with np.errstate(over="ignore"):
-        diff = pts[:, None, :] - pts[None, :, :]
         if norm == "euclidean":
             e = math.frexp(float((pts.max(axis=0) - pts.min(axis=0)).max(initial=0.0)))[1]
-            np.ldexp(diff, -e, out=diff)
-            d = np.sqrt((diff * diff).sum(axis=2))
-            np.ldexp(d, e, out=d)
-        elif norm == "manhattan":
-            d = np.abs(diff).sum(axis=2)
-        elif norm == "chebyshev":
-            d = np.abs(diff).max(axis=2)
-        else:
-            raise ValueError(f"unknown norm tag {norm!r}")
+        for r0 in range(0, n, rows):
+            out = d[r0 : r0 + rows]
+            block = diff[: len(out)]
+            np.subtract(pts[r0 : r0 + rows, None, :], pts[None, :, :], out=block)
+            if norm == "euclidean":
+                np.ldexp(block, -e, out=block)
+                np.multiply(block, block, out=block)
+                block.sum(axis=2, out=out)
+                np.sqrt(out, out=out)
+                np.ldexp(out, e, out=out)
+            else:
+                np.abs(block, out=block)
+                (block.sum if norm == "manhattan" else block.max)(axis=2, out=out)
+    diff = block = None  # free the buffer before the n x n minimum below
     np.fill_diagonal(d, 0.0)
     # symmetrize to kill last-bit asymmetry from float evaluation order
     return np.minimum(d, d.T)
@@ -383,22 +399,31 @@ def dump_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _nonblank_lines(text: str) -> Iterator[str]:
-    """The stripped nonblank lines of text, one at a time.
-
-    The same lines as text.splitlines() gives, without a second copy of
-    the whole text: it is split in pieces of about _PARSE_CHUNK
-    characters, each cut after a newline.
-    """
+def _text_pieces(text: str) -> Iterator[str]:
+    """text in pieces of about _PARSE_CHUNK characters, each cut after a newline."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _PARSE_CHUNK)
         end = len(text) if end < 0 else end + 1
-        for line in text[start:end].splitlines():
+        yield text[start:end]
+        start = end
+
+
+def _nonblank_lines(source: Union[str, Iterable[str]]) -> Iterator[str]:
+    """The stripped nonblank lines of source, one at a time.
+
+    source is the text itself, cut by :func:`_text_pieces` so that no
+    second copy of the whole text is made, or a text-mode file, which
+    gives its own lines.  Every piece ends at a line break and goes
+    through str.splitlines, so the lines are those of splitlines() on the
+    whole text; a file's newline translation turns CRLF and CR into LF,
+    which splitlines reads as the same single break.
+    """
+    for piece in _text_pieces(source) if isinstance(source, str) else source:
+        for line in piece.splitlines():
             line = line.strip()
             if line:
                 yield line
-        start = end
 
 
 def _float_rows(lines: Iterator[str], n: int, what: str, entry: str) -> Iterator[Tuple[int, List[float]]]:
@@ -425,18 +450,37 @@ def _float_rows(lines: Iterator[str], n: int, what: str, entry: str) -> Iterator
         raise ValueError(f"{entry}: {bad}")
 
 
-def parse_instance(text: str, tol: Optional[float] = None) -> Instance:
+def parse_instance(source: Union[str, Iterable[str]], tol: Optional[float] = None) -> Instance:
     """Parse the text format without the O(n^3) triangle check.
+
+    source is the text, or a text-mode file open for reading, which is
+    read one line at a time and never whole; either gives the same
+    instance or the same error.
 
     Raises ValueError on malformed input, on n < 3, and, in matrix mode,
     on an asymmetric pair above tolerance (by default 1e-9 times the
     largest magnitude).  Asymmetry within tolerance is folded away by the
     elementwise minimum of the matrix and its transpose, as
     :func:`pairwise_distances` does.  :func:`load_instance` adds the
-    triangle check.  A NaN or negative tol raises ValueError.
+    triangle check.  A NaN or negative tol raises ValueError.  A file
+    that cannot be decoded raises its UnicodeDecodeError, a ValueError
+    too, before any other error: on an early error the rest of the file
+    is still read, as it was when files were read whole.
     """
     sym_tol = None if tol is None else check_tol(tol)
-    lines = _nonblank_lines(text)
+    lines = _nonblank_lines(source)
+    try:
+        return _parse_lines(lines, sym_tol)
+    except ValueError:
+        if not isinstance(source, str):
+            # an undecodable byte further on is reported instead
+            for _ in lines:
+                pass
+        raise
+
+
+def _parse_lines(lines: Iterator[str], sym_tol: Optional[float]) -> Instance:
+    """The instance the nonblank lines describe; see :func:`parse_instance`."""
     first = next(lines, None)
     if first is None:
         raise ValueError("empty instance file")
@@ -500,14 +544,18 @@ def metric_violation(report: MetricReport) -> str:
     )
 
 
-def load_instance(text: str, tol: Optional[float] = None) -> Instance:
+def load_instance(source: Union[str, Iterable[str]], tol: Optional[float] = None) -> Instance:
     """Parse the text format and validate the result.
+
+    source is the text or a text-mode file, as :func:`parse_instance`
+    takes it; a file is read to its end before the triangle check starts,
+    and no text of it is alive during the check.
 
     Raises ValueError on malformed input, on n < 3, and on any metric-axiom
     violation above tolerance (the message names the offending pair or
     triple and, for a triple, the magnitude).
     """
-    inst = parse_instance(text, tol)
+    inst = parse_instance(source, tol)
     report = validate_metric(inst, tol)
     if not report.passed:
         raise ValueError(metric_violation(report))

@@ -15,10 +15,14 @@
 - The heaviest closing of a path sequence over all 2^k orientations, for
   the 5/6 fallback's orientation DP, and a position-by-position scan that
   opens a cycle at an edge, for open_cycle_at.
+- The distance matrix of points from one array of all pairwise
+  differences (pairwise_distances_whole), for the row-blocked
+  pairwise_distances.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
@@ -319,6 +323,30 @@ def floyd_warshall_closure(raw: np.ndarray) -> np.ndarray:
             np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
         if np.array_equal(before, d):
             return d
+
+
+def pairwise_distances_whole(points: Sequence[Sequence[float]], norm: str) -> np.ndarray:
+    """The pairwise distance matrix from one n x n x d array of differences.
+
+    The formula pairwise_distances evaluates block by block: euclidean
+    differences scaled by 2^-e (2^e just above the widest coordinate
+    range) before squaring and the distances back by 2^e, a zero
+    diagonal, and the elementwise minimum with the transpose.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        if norm == "euclidean":
+            e = math.frexp(float((pts.max(axis=0) - pts.min(axis=0)).max(initial=0.0)))[1]
+            np.ldexp(diff, -e, out=diff)
+            d = np.sqrt((diff * diff).sum(axis=2))
+            np.ldexp(d, e, out=d)
+        elif norm == "manhattan":
+            d = np.abs(diff).sum(axis=2)
+        else:
+            d = np.abs(diff).max(axis=2)
+    np.fill_diagonal(d, 0.0)
+    return np.minimum(d, d.T)
 
 
 def complete_graph(num_vertices: int, weight_fn) -> WeightedGraph:

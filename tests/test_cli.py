@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import maxtsp.exact
 import maxtsp.metricspace
 from maxtsp import GeneratorSpec, Instance, dump_instance, generate
 from maxtsp.cli import main
+from maxtsp.metricspace import metric_violation, parse_instance, validate_metric
 
 from conftest import FLOAT_BOUNDARY, equilateral, line_instance, random_metric
 from oracles import brute_force_tour
@@ -135,6 +138,97 @@ class TestValidateChecksOnce:
             "invalid: triangle inequality violated by 8.0 at triple (0, 1) via 2\n"
         )
         assert calls == [3]
+
+
+class TestStreamedFiles:
+    """validate and solve hand the open file to the parser, which reads it
+    line by line; verdicts and errors are those of the whole text."""
+
+    BODIES = (
+        ["maxtsp v1 3 matrix", "0 1 1", "1 0 1", "1 1 0"],
+        ["maxtsp v1 3 points", "norm manhattan dim 2", "0 0", "1 0", "0 2"],
+        ["maxtsp v1 3 matrix", "0 9 1", "9 0 1", "1 1 0"],
+        ["maxtsp v1 3 matrix", "0 1 1", "1 0 1"],
+    )
+
+    @pytest.mark.parametrize("final", (True, False), ids=("final-break", "no-final-break"))
+    @pytest.mark.parametrize("body", BODIES, ids=("matrix", "points", "violation", "short"))
+    @pytest.mark.parametrize(
+        "end", ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"),
+        ids=("LF", "CRLF", "CR", "VT", "FF", "FS", "NEL", "LS"),
+    )
+    def test_line_breaks_and_blank_lines(self, tmp_path, capsys, end, body, final):
+        text = end.join(["", body[0], " ", *body[1:2], "", "\t", *body[2:]]) + (end if final else "")
+        try:
+            inst = parse_instance(text)
+        except ValueError as exc:
+            expected = (1, f"invalid: {exc}\n")
+        else:
+            report = validate_metric(inst)
+            expected = (0, report.summary() + "\n") if report.passed else (
+                1, f"invalid: {metric_violation(report)}\n")
+        path = tmp_path / "inst.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert (main(["validate", str(path)]), capsys.readouterr().out) == expected
+
+    @pytest.mark.parametrize("pad", (0, 1 << 17), ids=("small", "large"))
+    @pytest.mark.parametrize("place", ("header", "last-row", "after-bad-header"))
+    @pytest.mark.parametrize("command", (["validate"], ["solve", "--five-sixths"]))
+    def test_undecodable_byte_is_an_error(self, tmp_path, capsys, command, place, pad):
+        # UnicodeDecodeError is a ValueError; validate must not report it as
+        # an invalid instance.  pad blank lines put a byte in the last row
+        # past the first chunks the decoder reads, and the codec error still
+        # wins over a bad header read before it
+        rows = [b"maxtsp v1 3 matrix", b"0 1 1", b"1 0 1", b"1 1 0"]
+        if place == "header":
+            rows[0] = b"maxtsp v1 3 matr\xffix"
+        else:
+            rows[3] = b"1 1 \xff0"
+        if place == "after-bad-header":
+            rows[0] = b"maxtsp v2 3 matrix"
+        data = rows[0] + b"\n" * (1 + pad) + b"\n".join(rows[1:]) + b"\n"
+        path = tmp_path / "inst.txt"
+        path.write_bytes(data)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        if pad:
+            # the position counts from the start of the chunk being decoded
+            assert re.fullmatch(
+                r"error: 'utf-8' codec can't decode byte 0xff in position \d+: invalid start byte\n",
+                captured.err,
+            )
+        else:
+            assert captured.err == f"error: {whole.value}\n"
+
+    @pytest.mark.parametrize(
+        "norm, dim, matrix",
+        (("euclidean", 2, True), ("euclidean", 2, False), ("chebyshev", 12, False)),
+        ids=("matrix", "euclidean-2", "chebyshev-12"),
+    )
+    def test_validate_peak_stays_under_three_matrices(
+        self, tmp_path, capsys, monkeypatch, norm, dim, matrix
+    ):
+        # the file is read line by line and the points' differences exist
+        # one row block at a time; a whole read, or all n x n x d
+        # differences at once, peaks at 4.9 to 25 matrices here.  Two
+        # workers fix the metric check's scratch (a block buffer each) on
+        # any host, and the untraced first call loads the thread pool.
+        n = 600
+        monkeypatch.setattr(maxtsp.metricspace, "_cpus", lambda: 2)
+        inst = Instance.from_points(np.random.default_rng(7).uniform(size=(n, dim)), norm)
+        path = write_instance(tmp_path, Instance(inst.dist) if matrix else inst)
+        assert main(["validate", path]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["validate", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "result: pass" in capsys.readouterr().out
+        assert peak <= 3 * n * n * 8
 
 
 def test_import_leaves_networkx_unloaded():

@@ -1,6 +1,7 @@
 """Instance model, validation, generation, file I/O."""
 
 import concurrent.futures
+import io
 import math
 import os
 import subprocess
@@ -26,7 +27,7 @@ from maxtsp.cli import main
 from maxtsp.metricspace import parse_instance, pairwise_distances
 
 from conftest import equilateral, random_metric
-from oracles import floyd_warshall_closure
+from oracles import floyd_warshall_closure, pairwise_distances_whole
 
 
 # d[0,3] = 3 > d[0,1] + d[1,3] = 2: a violation of a third of the longest
@@ -490,6 +491,46 @@ class TestWorkerCount:
         assert out.stdout.strip() == "False"
 
 
+class TestPairwiseDistances:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        dim=st.integers(min_value=1, max_value=13),
+        norm=st.sampled_from(metricspace.NORM_TAGS),
+        scale=st.sampled_from([1e-12, 1e-6, 1.0, 1e6, 1e12, 1e308]),
+        duplicates=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        entries=st.sampled_from([1, 7, 64, 1000, 1 << 16]),
+    )
+    def test_blocks_match_the_whole_array_formula(
+        self, n, dim, norm, scale, duplicates, seed, entries
+    ):
+        # small block sizes give one row per block, or a few; at 1e308 the
+        # differences, sums and squares overflow, and distances come out inf
+        rng = np.random.default_rng(seed)
+        if duplicates:
+            pts = rng.integers(-2, 3, size=(n, dim)) * (0.85 * scale)
+        else:
+            pts = rng.uniform(-1.7, 1.7, size=(n, dim)) * scale
+        with mock.patch.object(metricspace, "_BLOCK_ENTRIES", entries):
+            got = pairwise_distances(pts, norm)
+        assert got.tobytes() == pairwise_distances_whole(pts, norm).tobytes()
+
+    def test_from_points_peak_stays_near_two_matrices(self):
+        # the matrix and Instance's copy of it; the n x n x d differences
+        # (25 matrices here) exist one row block at a time, and the block
+        # buffer is gone before the symmetrized copy is made
+        n, dim = 400, 12
+        pts = np.random.default_rng(3).uniform(size=(n, dim))
+        tracemalloc.start()
+        try:
+            Instance.from_points(pts, "chebyshev")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
+
+
 class TestFileFormat:
     def test_matrix_example(self):
         text = "maxtsp v1 3 matrix\n0 1 1\n1 0 1\n1 1 0\n"
@@ -575,6 +616,11 @@ class TestFileFormat:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         with mock.patch.object(metricspace, "_PARSE_CHUNK", chunk):
             assert list(metricspace._nonblank_lines(text)) == lines
+        # a text-mode file gives its lines after newline translation, which
+        # its decoder applies across the byte chunks it reads
+        fh = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+        fh._CHUNK_SIZE = chunk
+        assert list(metricspace._nonblank_lines(fh)) == lines
 
     def test_every_line_ending_parses(self):
         rows = ["maxtsp v1 3 matrix", "0 1 1", "1 0 1", "1 1 0"]
