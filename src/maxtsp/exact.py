@@ -21,7 +21,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .cyclecover import Tour
-from .metricspace import Instance
+from .metricspace import Instance, _unbuffered
 
 HELD_KARP_CAP = 20
 
@@ -56,7 +56,10 @@ def held_karp_max(inst: Instance) -> Tour:
     distance in [0.5, 1): exact on every normal entry, and no sum of n
     edges can overflow.  The returned weight is recomputed from
     inst.dist.  Time is O(2^n * n^2), memory O(2^n * n), so n is capped
-    at 20; callers needing larger n must accept an approximation.
+    at 20; callers needing larger n must accept an approximation.  The
+    layers and the join run under metricspace's ``_unbuffered`` scope,
+    because numpy's default ufunc buffer would copy the broadcast
+    operands of every add.
     """
     n = inst.n
     check_dp_size(n)
@@ -76,26 +79,27 @@ def held_karp_max(inst: Instance) -> Tour:
     # ext[j, s] = max_i dp[i, lo + s] + inner[i, j] for the layer at lo;
     # the widest layer extended is the last, |S| = half
     buf = np.empty((2, m, int(bounds[half + 1] - bounds[half])))
-    for k in range(1, half + 1):
-        lo, hi = bounds[k], bounds[k + 1]
-        layer = masks[lo:hi]
-        ext, tmp = buf[:, :, : hi - lo]
-        np.add(dp[0, lo:hi], inner[0][:, None], out=ext)
-        for i in range(1, m):
-            np.add(dp[i, lo:hi], inner[i][:, None], out=tmp)
-            np.maximum(ext, tmp, out=ext)
-        if k < top:
-            # S < S' among the masks without j iff S + j < S' + j, so ext
-            # row j, on the masks without j, fills row j of the next
-            # layer, on the masks with j, in order
-            end = bounds[k + 2]
-            for j in range(m):
-                bit = 1 << j
-                dp[j, hi:end][(masks[hi:end] & bit) != 0] = ext[j, (layer & bit) == 0]
-    # join each S of the last layer to its complement C by the edge
-    # (j, i): complementing reverses the ascending masks of a layer, so C
-    # of column lo + s is column bounds[top + 1] - 1 - s
-    np.add(ext, dp[:, bounds[top] : bounds[top + 1]][:, ::-1], out=tmp)
+    with _unbuffered():
+        for k in range(1, half + 1):
+            lo, hi = bounds[k], bounds[k + 1]
+            layer = masks[lo:hi]
+            ext, tmp = buf[:, :, : hi - lo]
+            np.add(dp[0, lo:hi], inner[0][:, None], out=ext)
+            for i in range(1, m):
+                np.add(dp[i, lo:hi], inner[i][:, None], out=tmp)
+                np.maximum(ext, tmp, out=ext)
+            if k < top:
+                # S < S' among the masks without j iff S + j < S' + j, so
+                # ext row j, on the masks without j, fills row j of the
+                # next layer, on the masks with j, in order
+                end = bounds[k + 2]
+                for j in range(m):
+                    bit = 1 << j
+                    dp[j, hi:end][(masks[hi:end] & bit) != 0] = ext[j, (layer & bit) == 0]
+        # join each S of the last layer to its complement C by the edge
+        # (j, i): complementing reverses the ascending masks of a layer, so
+        # C of column lo + s is column bounds[top + 1] - 1 - s
+        np.add(ext, dp[:, bounds[top] : bounds[top + 1]][:, ::-1], out=tmp)
     i, s = divmod(int(np.argmax(tmp)), layer.size)
     first = int(layer[s])
     # head runs from i back through S, tail from i back through C

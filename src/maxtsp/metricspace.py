@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -224,6 +225,22 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+@contextmanager
+def _unbuffered() -> Iterator[None]:
+    """Run the body with numpy's ufunc buffer at its smallest legal size.
+
+    numpy copies a broadcast operand through that buffer when the inner
+    loop is shorter than the buffer; at 16 entries, loops at least that
+    long read it in place.  The setting lives in a contextvar, so a thread pool worker
+    must enter this itself; the caller's size is restored on exit.
+    """
+    old = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
     """S[i, j] = min over k of d[i, k] + d[k, j], in float64 arithmetic.
 
@@ -238,7 +255,9 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     than blocks, handed out widest first; numpy releases the GIL on blocks
     this large.  A single block runs in the calling thread.  Every entry is
     the minimum of the same float sums whatever the worker count, so S is
-    bit-identical.
+    bit-identical.  Each block runs under :func:`_unbuffered`, because
+    under numpy's default buffer the broadcast add copies its operands
+    through that buffer and costs about four times the minimum beside it.
     """
     n = d.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // n))
@@ -248,10 +267,11 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     def fill(r0: int) -> None:
         block = s[r0 : r0 + rows, r0:]
         tmp = np.empty_like(block)
-        np.add(d[r0 : r0 + rows, :1], d[:1, r0:], out=block)
-        for k in range(1, n):
-            np.add(d[r0 : r0 + rows, k : k + 1], d[k : k + 1, r0:], out=tmp)
-            np.minimum(block, tmp, out=block)
+        with _unbuffered():
+            np.add(d[r0 : r0 + rows, :1], d[:1, r0:], out=block)
+            for k in range(1, n):
+                np.add(d[r0 : r0 + rows, k : k + 1], d[k : k + 1, r0:], out=tmp)
+                np.minimum(block, tmp, out=block)
 
     workers = min(len(starts), _cpus())
     if workers == 1:

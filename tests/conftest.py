@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
+import pytest
 
 from maxtsp import CycleCover, GeneratorSpec, Instance, generate
 from maxtsp.matching import WeightedGraph
@@ -20,6 +21,15 @@ from oracles import floyd_warshall_closure
 # (n, dim) with n just above 2^(2 dim + 1), where the asymptotic scheme's
 # delta = 2 / n^(1/(2 dim + 1)) rounds to 1.0
 FLOAT_BOUNDARY = ((8, 0.9999999999999998), (5, 0.6609640474436811))
+
+
+@pytest.fixture
+def caller_bufsize():
+    """numpy's ufunc buffer size set to 4096 for the test, then restored:
+    a kernel that changes it must hand this value back."""
+    old = np.setbufsize(4096)
+    yield 4096
+    np.setbufsize(old)
 
 
 def equilateral(n: int) -> Instance:

@@ -236,7 +236,7 @@ def test_import_leaves_networkx_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, maxtsp; print('networkx' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, encoding="utf-8", env=env, check=True,
     )
     assert out.stdout.strip() == "False"
 
@@ -268,7 +268,8 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     fresh = []
     for argv in argvs:
         proc = subprocess.run(
-            [sys.executable, "-m", "maxtsp", *argv], capture_output=True, text=True, env=env,
+            [sys.executable, "-m", "maxtsp", *argv], capture_output=True, text=True,
+            encoding="utf-8", env=env,
         )
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == fresh

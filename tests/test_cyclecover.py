@@ -455,7 +455,8 @@ class TestBranchAndBound:
         src = str(Path(cyclecover.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
-            [sys.executable, "-c", script, *paths], capture_output=True, text=True, env=env, check=True,
+            [sys.executable, "-c", script, *paths], capture_output=True, text=True,
+            encoding="utf-8", env=env, check=True,
         )
         assert out.stdout.splitlines()[-1] == "False"
 

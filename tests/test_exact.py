@@ -125,6 +125,17 @@ class TestHeldKarp:
         with pytest.raises(ValueError, match="capped"):
             held_karp_max(equilateral(HELD_KARP_CAP + 1))
 
+    def test_keeps_the_caller_ufunc_buffer_size(self, caller_bufsize):
+        # the layers run with the buffer at 16 entries, then hand back the
+        # caller's size; the tour does not depend on it
+        inst = random_metric(12, 3)
+        tour = held_karp_max(inst)
+        assert np.getbufsize() == caller_bufsize
+        for size in (16, 8192, 1 << 20):
+            np.setbufsize(size)
+            assert held_karp_max(inst) == tour
+            assert np.getbufsize() == size
+
 
 class TestAgainstPullDp:
     # held_karp_pull fills every subset layer, keeps a parent table and

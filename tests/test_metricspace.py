@@ -454,6 +454,24 @@ class TestWorkerCount:
             tracemalloc.stop()
         assert peak <= 3.5 * n * n * 8
 
+    def test_memory_peak_with_two_workers_at_n_300(self, monkeypatch):
+        # the gaps, one block buffer of 218 x 300 and a small one: under
+        # numpy's default ufunc buffer each broadcast add would also
+        # allocate 2 x 64 KiB of iterator buffers per worker, 0.36 matrix
+        # here.  The warm-up call loads the thread pool's modules, whose
+        # import would otherwise count once per process
+        monkeypatch.setattr(metricspace, "_cpus", lambda: 2)
+        n = 300
+        inst = generate(GeneratorSpec(family="euclidean", n=n, d=2, seed=5))
+        validate_metric(inst)
+        tracemalloc.start()
+        try:
+            validate_metric(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * n * n * 8
+
     def test_one_block_starts_no_thread(self, monkeypatch, tmp_path, capsys):
         def no_threads(*args, **kwargs):
             raise AssertionError("a one-block matrix started a thread pool")
@@ -487,8 +505,44 @@ class TestWorkerCount:
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True)
+                             encoding="utf-8", env=env, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestUnbufferedScope:
+    """The min-plus blocks run with numpy's ufunc buffer at 16 entries and
+    leave the caller's size as it was, whether they return or raise."""
+
+    @pytest.mark.parametrize("cpus, n", [(1, 40), (1, 300), (2, 300)])
+    def test_validate_keeps_the_caller_size(self, monkeypatch, caller_bufsize, cpus, n):
+        monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
+        validate_metric(Instance(symmetric_matrix(n, "uniform")))
+        assert np.getbufsize() == caller_bufsize
+
+    def test_generate_keeps_the_caller_size(self, caller_bufsize):
+        generate(GeneratorSpec(family="random-metric", n=300, seed=1))
+        assert np.getbufsize() == caller_bufsize
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_raising_block_keeps_the_caller_size(self, monkeypatch, caller_bufsize, cpus):
+        def boom(*args, **kwargs):
+            raise RuntimeError("block failed")
+
+        d = symmetric_matrix(300, "uniform")
+        monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
+        monkeypatch.setattr(np, "minimum", boom)
+        with pytest.raises(RuntimeError, match="block failed"):
+            metricspace._min_plus_square(d)
+        assert np.getbufsize() == caller_bufsize
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties-signed-zeros"])
+    def test_square_is_bit_identical_under_any_caller_size(self, caller_bufsize, kind):
+        d = symmetric_matrix(300, kind, seed=4)
+        results = []
+        for size in (16, 8192, 1 << 20):
+            np.setbufsize(size)
+            results.append(metricspace._min_plus_square(d).tobytes())
+        assert results[1:] == results[:1] * 2
 
 
 class TestPairwiseDistances:

@@ -192,3 +192,40 @@ def test_unused_method_walk_sees_attribute_names_only():
              "    @property\n    def p(self):\n        return f\n    def __len__(self):\n        return 0\n",
     }
     assert _unused_methods(sources) == [("A", "f"), ("A", "p")]
+
+
+def _setbufsize_sites(sources):
+    """Set of (module, innermost enclosing function, "" at module level)
+    of every mention of numpy's setbufsize in the sources."""
+    sites = set()
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "setbufsize"
+            or isinstance(node, ast.Name) and node.id == "setbufsize"
+            or isinstance(node, ast.alias) and node.name == "setbufsize"
+        ):
+            sites.add((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, "")
+    return sites
+
+
+def test_ufunc_buffer_size_is_set_in_one_scope():
+    # every kernel that wants numpy's small buffer enters
+    # metricspace._unbuffered, which restores the caller's size
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_DIR.glob("*.py")}
+    assert _setbufsize_sites(sources) == {("metricspace", "_unbuffered")}
+
+
+def test_setbufsize_walk_sees_calls_imports_and_module_level():
+    sources = {
+        "a": "import numpy as np\ndef f():\n    def g():\n        np.setbufsize(16)\n",
+        "b": "from numpy import setbufsize\nsetbufsize(16)\n",
+    }
+    assert _setbufsize_sites(sources) == {("a", "g"), ("b", "")}
