@@ -152,7 +152,7 @@ class TestAgainstPullDp:
 
     @pytest.mark.parametrize("kind", sorted(TIE_HEAVY))
     def test_tie_heavy_inputs(self, kind):
-        for n in range(BRUTE_FORCE_TOUR_CAP + 1, 17):
+        for n in range(BRUTE_FORCE_TOUR_CAP + 1, 18):
             inst = TIE_HEAVY[kind](n, n)
             dp = held_karp_max(inst)
             assert dp.weight == pytest.approx(held_karp_pull(inst).weight, rel=1e-12, abs=0)
@@ -167,36 +167,58 @@ class TestAgainstPullDp:
             assert_exact_tour(inst, dp)
 
 
+# every weight an integer: each tour sums exactly, in any order and scaled
+INTEGER_KINDS = ("equilateral", "all-zero", "small-integer")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(FAMILIES),
-    st.integers(min_value=4, max_value=13).flatmap(
+    st.sampled_from(FAMILIES + INTEGER_KINDS),
+    st.integers(min_value=4, max_value=17).flatmap(
         lambda n: st.tuples(st.permutations(range(n)), st.integers(0, 10_000))
     ),
 )
-def test_relabelling_keeps_the_optimum(family, perm_seed):
-    # a relabelling moves vertex 0, where both half paths start, and which
+def test_relabelling_keeps_the_optimum(kind, perm_seed):
+    # a relabelling moves vertex 0, where both half paths start, vertex
+    # n - 1, which every joined S holds when n - 1 is even, and which
     # vertices fall on either side of the join
     perm, seed = perm_seed
-    inst = family_instance(family, len(perm), seed)
+    if kind in FAMILIES:
+        inst = family_instance(kind, len(perm), seed)
+    else:
+        inst = TIE_HEAVY[kind](len(perm), seed)
     relabelled = Instance(inst.dist[np.ix_(perm, perm)])
-    assert held_karp_max(relabelled).weight == pytest.approx(
-        held_karp_max(inst).weight, rel=1e-12, abs=0
-    )
+    weight = held_karp_max(relabelled).weight
+    if kind in FAMILIES:
+        assert weight == pytest.approx(held_karp_max(inst).weight, rel=1e-12, abs=0)
+    else:
+        assert weight == held_karp_max(inst).weight == held_karp_pull(relabelled).weight
+
+
+def traced_peak(inst):
+    """tracemalloc's peak, in bytes, over one held_karp_max call."""
+    tracemalloc.start()
+    try:
+        held_karp_max(inst)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_peak_memory_fits_the_half_layers():
     # n = 17 keeps 16 x 39,203 float64 states (4.8 MiB) and two buffers of
-    # the widest layer (3.1 MiB together); every subset layer with an int8
-    # parent table, as held_karp_pull keeps, peaks at about 12 MiB
-    inst = random_metric(17, 3)
-    tracemalloc.start()
-    try:
-        held_karp_max(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10 * 2**20
+    # the widest extended layer, C(16, 7) = 11,440 columns (2.8 MiB
+    # together), which also hold the push's flags; every subset layer
+    # with an int8 parent table, as held_karp_pull keeps, peaks at about
+    # 12 MiB
+    assert traced_peak(random_metric(17, 3)) <= 9 * 2**20
+
+
+def test_peak_memory_at_the_cap():
+    # n = 20 keeps 19 x 354,522 states (51.4 MiB), two buffers of
+    # C(19, 9) = 92,378 columns (26.8 MiB) and the mask and rank tables
+    # (4 MiB); gathering every row of a push at once would add 7 MiB
+    assert traced_peak(random_metric(HELD_KARP_CAP, 3)) <= 84 * 2**20
 
 
 class TestExactDp:
