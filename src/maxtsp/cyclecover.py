@@ -139,7 +139,11 @@ def splice(a: Sequence[int], b: Sequence[int], ea: Edge, eb: Edge, pattern: int)
 
 @dataclass(frozen=True)
 class Tour:
-    """A Hamiltonian cycle: canonical cyclic order plus total weight."""
+    """A Hamiltonian cycle: canonical cyclic order plus total weight.
+
+    The weight is summed along the canonical order, so it is a function of
+    the cycle alone, whichever rotation or direction it was given in.
+    """
 
     order: Cycle
     weight: float
@@ -149,7 +153,8 @@ class Tour:
         order = tuple(order)
         if sorted(order) != list(range(inst.n)):
             raise ValueError("tour order is not a permutation of the vertex set")
-        return Tour(order=canonical_cycle(order), weight=cycle_weight(inst, order))
+        order = canonical_cycle(order)
+        return Tour(order=order, weight=cycle_weight(inst, order))
 
 
 @dataclass(frozen=True)
@@ -298,50 +303,65 @@ def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
     (Jonker & Volgenant 1987).  The plan's used arcs must cost 0 and its
     free arcs at least 0, and both stay so.  Raises InfeasibleLP when a
     unit of supply reaches no column with demand.
+
+    At the sizes the pipeline meets most, a search costs numpy calls more
+    than arithmetic, so the row labels, their back links and the demand
+    test stay in Python lists and scalars.  The column labels stay
+    arrays: a row that settles relaxes them in one add and one compare,
+    and only when that finds closer columns, in three assignments at
+    their indices.  Ties resolve as a strict < and a first argmin make
+    them.  supply and demand are read, not updated.
     """
     cost, plan, pot_l, pot_r = t.cost, t.plan, t.pot_l, t.pot_r
     n = len(supply)
+    supply, demand = supply.tolist(), demand.tolist()
     # The used rows of each column, kept along every augmenting path.
     used: List[List[int]] = [[] for _ in range(n)]
     for u, v in zip(*np.nonzero(plan)):
         used[int(v)].append(int(u))
     red = np.empty((n, n))
     forward = np.empty((n, n))
+    row = np.empty(n)
     better = np.empty(n, dtype=bool)
-    for _ in range(int(supply.sum())):
+    cols = np.arange(n)
+    for _ in range(sum(supply)):
         np.add(cost, pot_l[:, None], out=red)
         red -= pot_r
         # Clamping rounding errors at zero keeps the search a true Dijkstra.
         np.maximum(red, 0.0, out=forward)
         forward[plan] = np.inf
-        dist_l = np.full(n, np.inf)
-        sources = np.flatnonzero(supply > 0)
-        dist_l[sources] = 0.0
-        via_r = np.full(n, -1)
-        via_l = sources[forward[sources].argmin(axis=0)]
-        dist_r = forward[via_l, np.arange(n)]
+        sources = [u for u in range(n) if supply[u] > 0]
+        dist_l = [np.inf] * n
+        for u in sources:
+            dist_l[u] = 0.0
+        via_r = [-1] * n
+        via_l = np.array(sources)[forward.take(sources, axis=0).argmin(axis=0)]
+        dist_r = forward[via_l, cols]
         # dist_r on the open columns and inf on the closed ones.
         pending = dist_r.copy()
         while True:
             v = int(pending.argmin())
-            reach = float(pending[v])
+            reach = pending.item(v)
             if not reach < np.inf:
                 raise InfeasibleLP("transportation problem is infeasible")
             if demand[v] > 0:
                 break
             pending[v] = np.inf
             for u in used[v]:
-                label = reach + max(0.0, -red[u, v])
+                label = reach + max(0.0, -red.item(u, v))
                 if label >= dist_l[u]:
                     continue
                 dist_l[u] = label
                 via_r[u] = v
-                row = label + forward[u]
+                np.add(forward[u], label, out=row)
                 # Labels only grow, so a closed column never gets better.
                 np.less(row, dist_r, out=better)
-                np.copyto(dist_r, row, where=better)
-                np.copyto(pending, row, where=better)
-                np.copyto(via_l, u, where=better)
+                gains = better.nonzero()[0]
+                if len(gains):
+                    gain = row[gains]
+                    dist_r[gains] = gain
+                    pending[gains] = gain
+                    via_l[gains] = u
         # Labels capped at dist_r[v] keep every reduced cost nonnegative.
         pot_l += np.minimum(dist_l, reach)
         pot_r += np.minimum(dist_r, reach)
@@ -353,7 +373,7 @@ def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
             if via_r[u] < 0:
                 supply[u] -= 1
                 break
-            v = int(via_r[u])
+            v = via_r[u]
             plan[u, v] = False
             used[v].remove(u)
 
@@ -394,16 +414,21 @@ def two_matching_lp(
     pot_l = -(cost - pot_r).min(axis=1)
     pot_l[~np.isfinite(pot_l)] = 0.0
     t = TransportPlan(cost, np.zeros((n, n), dtype=bool), pot_l, pot_r, top)
-    supply, demand = b.copy(), b.copy()
     # Every arc now costs at least 0, so a plan of arcs that cost 0 keeps
-    # _augment's invariants.
+    # _augment's invariants.  Each row in turn takes its first arcs of cost
+    # 0 into columns with demand left, walked as index lists.
     zero = cost + pot_l[:, None] - pot_r[None, :] <= 0.0
-    for u in np.flatnonzero(supply):
-        cols = np.flatnonzero(zero[u] & (demand > 0))[: supply[u]]
-        t.plan[u, cols] = True
-        supply[u] -= len(cols)
-        demand[cols] -= 1
-    _augment(t, supply, demand)
+    supply, demand = b.tolist(), b.tolist()
+    rows: List[int] = []
+    cols: List[int] = []
+    for u, v in zip(*(ends.tolist() for ends in np.nonzero(zero))):
+        if supply[u] and demand[v]:
+            rows.append(u)
+            cols.append(v)
+            supply[u] -= 1
+            demand[v] -= 1
+    t.plan[rows, cols] = True
+    _augment(t, np.array(supply), np.array(demand))
     return t
 
 
@@ -629,15 +654,16 @@ def max_weight_cycle_cover(inst: Instance) -> CycleCover:
     The result's weight is an upper bound on the weight of every tour,
     since a tour is itself a one-cycle cover.  It is exact to within
     1e-12 * n * max distance: see the module docstring for the pricing
-    argument.
+    argument.  An integral LP point is returned as it stands; the LP's
+    duals are priced, by dual_bound, only when the point is fractional.
     """
     n, d = inst.n, inst.dist
     root = two_matching_lp(d)
-    upper, rc = dual_bound(d, root.duals())
-    tol = PRICING_TOL_FACTOR * n * inst.max_dist()
     twice_x = _lp_point(root.plan, d)
     if not (twice_x == 1).any():
         return _integral_cover(inst, twice_x)
+    upper, rc = dual_bound(d, root.duals())
+    tol = PRICING_TOL_FACTOR * n * inst.max_dist()
     cover, proved = _branch_and_bound(inst, root, twice_x, upper, tol)
     if proved:
         return cover

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -31,6 +31,12 @@ _PARSE_CHUNK = 1 << 16
 # Row blocks of the min-plus triangle check hold about this many entries,
 # so a block and its scratch buffer stay in cache across the pass over k.
 _BLOCK_ENTRIES = 1 << 16
+# Blocks at least this many columns wide run under _unbuffered.  Narrower
+# ones are faster through numpy's buffered copy: on one core the min-plus
+# pass of a 24-point check takes about 20 % less time without the scope,
+# and the two break even at 36 to 40 columns, both for a square block and
+# for the last block of a 600-point matrix.
+_UNBUFFERED_MIN_COLUMNS = 40
 
 
 class Instance:
@@ -255,9 +261,11 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     than blocks, handed out widest first; numpy releases the GIL on blocks
     this large.  A single block runs in the calling thread.  Every entry is
     the minimum of the same float sums whatever the worker count, so S is
-    bit-identical.  Each block runs under :func:`_unbuffered`, because
-    under numpy's default buffer the broadcast add copies its operands
-    through that buffer and costs about four times the minimum beside it.
+    bit-identical.  Each block of at least _UNBUFFERED_MIN_COLUMNS
+    columns runs under :func:`_unbuffered`, because under numpy's default
+    buffer the broadcast add copies its operands through that buffer and
+    costs about four times the minimum beside it; on narrower blocks that
+    copy is the cheaper way.
     """
     n = d.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // n))
@@ -267,7 +275,7 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     def fill(r0: int) -> None:
         block = s[r0 : r0 + rows, r0:]
         tmp = np.empty_like(block)
-        with _unbuffered():
+        with _unbuffered() if n - r0 >= _UNBUFFERED_MIN_COLUMNS else nullcontext():
             np.add(d[r0 : r0 + rows, :1], d[:1, r0:], out=block)
             for k in range(1, n):
                 np.add(d[r0 : r0 + rows, k : k + 1], d[k : k + 1, r0:], out=tmp)

@@ -20,6 +20,10 @@
 - The distance matrix of points from one array of all pairwise
   differences (pairwise_distances_whole), for the row-blocked
   pairwise_distances.
+- The cover LP with a mask-based zero-cost start and an augmenting
+  search on numpy arrays throughout (two_matching_lp_reference,
+  augment_reference), for two_matching_lp and _child_plan, whose plans
+  and potentials must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 import numpy as np
 
 from maxtsp.cyclecover import (
-    Cycle, CycleCover, Edge, Tour, _matching_cover, build_gadget, cycle_edges, edge_weight,
+    Cycle, CycleCover, Edge, InfeasibleLP, Tour, TransportPlan, _free_degrees, _matching_cover,
+    build_gadget, cycle_edges, edge_weight,
 )
 from maxtsp.exact import check_dp_size
 from maxtsp.metricspace import Instance
@@ -399,6 +404,97 @@ def pairwise_distances_whole(points: Sequence[Sequence[float]], norm: str) -> np
             d = np.abs(diff).max(axis=2)
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
+
+
+def augment_reference(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
+    """cyclecover._augment with every label in a numpy array.
+
+    The same Dijkstra, the same tie-breaking and the same float sums; a
+    row that settles relaxes the column labels through np.copyto with a
+    where mask.  supply and demand are updated in place.
+    """
+    cost, plan, pot_l, pot_r = t.cost, t.plan, t.pot_l, t.pot_r
+    n = len(supply)
+    used: List[List[int]] = [[] for _ in range(n)]
+    for u, v in zip(*np.nonzero(plan)):
+        used[int(v)].append(int(u))
+    red = np.empty((n, n))
+    forward = np.empty((n, n))
+    better = np.empty(n, dtype=bool)
+    for _ in range(int(supply.sum())):
+        np.add(cost, pot_l[:, None], out=red)
+        red -= pot_r
+        np.maximum(red, 0.0, out=forward)
+        forward[plan] = np.inf
+        dist_l = np.full(n, np.inf)
+        sources = np.flatnonzero(supply > 0)
+        dist_l[sources] = 0.0
+        via_r = np.full(n, -1)
+        via_l = sources[forward[sources].argmin(axis=0)]
+        dist_r = forward[via_l, np.arange(n)]
+        pending = dist_r.copy()
+        while True:
+            v = int(pending.argmin())
+            reach = float(pending[v])
+            if not reach < np.inf:
+                raise InfeasibleLP("transportation problem is infeasible")
+            if demand[v] > 0:
+                break
+            pending[v] = np.inf
+            for u in used[v]:
+                label = reach + max(0.0, -red[u, v])
+                if label >= dist_l[u]:
+                    continue
+                dist_l[u] = label
+                via_r[u] = v
+                row = label + forward[u]
+                np.less(row, dist_r, out=better)
+                np.copyto(dist_r, row, where=better)
+                np.copyto(pending, row, where=better)
+                np.copyto(via_l, u, where=better)
+        pot_l += np.minimum(dist_l, reach)
+        pot_r += np.minimum(dist_r, reach)
+        demand[v] -= 1
+        while True:
+            u = int(via_l[v])
+            plan[u, v] = True
+            used[v].append(u)
+            if via_r[u] < 0:
+                supply[u] -= 1
+                break
+            v = int(via_r[u])
+            plan[u, v] = False
+            used[v].remove(u)
+
+
+def two_matching_lp_reference(
+    dist: np.ndarray, forbidden: Sequence[Edge] = (), forced: Sequence[Edge] = ()
+) -> TransportPlan:
+    """cyclecover.two_matching_lp with a start that masks each row's zero arcs
+    by the columns with demand left, then augment_reference."""
+    n = dist.shape[0]
+    b = _free_degrees(n, forced)
+    if (b < 0).any():
+        raise InfeasibleLP("transportation problem is infeasible: a vertex has 3 forced pairs")
+    top = float(dist.max())
+    cost = top - dist
+    np.fill_diagonal(cost, np.inf)
+    for u, v in (*forbidden, *forced):
+        cost[u, v] = cost[v, u] = np.inf
+    pot_r = cost.min(axis=0)
+    pot_r[~np.isfinite(pot_r)] = 0.0
+    pot_l = -(cost - pot_r).min(axis=1)
+    pot_l[~np.isfinite(pot_l)] = 0.0
+    t = TransportPlan(cost, np.zeros((n, n), dtype=bool), pot_l, pot_r, top)
+    supply, demand = b.copy(), b.copy()
+    zero = cost + pot_l[:, None] - pot_r[None, :] <= 0.0
+    for u in np.flatnonzero(supply):
+        cols = np.flatnonzero(zero[u] & (demand > 0))[: supply[u]]
+        t.plan[u, cols] = True
+        supply[u] -= len(cols)
+        demand[cols] -= 1
+    augment_reference(t, supply, demand)
+    return t
 
 
 def complete_graph(num_vertices: int, weight_fn) -> Graph:

@@ -15,6 +15,7 @@ from maxtsp import Instance, held_karp_max, max_weight_cycle_cover
 import maxtsp.cyclecover as cyclecover
 from maxtsp.cyclecover import (
     CycleCover,
+    Tour,
     build_gadget,
     canonical_cycle,
     cycle_edges,
@@ -30,6 +31,7 @@ from conftest import equilateral, integer_metric, line_instance, random_metric
 from oracles import (
     all_pairs,
     all_two_factors,
+    augment_reference,
     blossom,
     brute_force_tour,
     cover_edges,
@@ -41,6 +43,7 @@ from oracles import (
     matching_of,
     open_cycle_at_scan,
     pair_rank,
+    two_matching_lp_reference,
 )
 
 
@@ -229,10 +232,20 @@ class TestMaxWeightCycleCover:
             cyclecover, "_matching_cover",
             lambda inst, pairs: calls.append(pairs) or matching_cover(inst, pairs),
         )
+        # nor does it price the duals, which only a fractional point needs
+        priced = []
+        bound = cyclecover.dual_bound
+        monkeypatch.setattr(
+            cyclecover, "dual_bound", lambda *args: priced.append(args) or bound(*args)
+        )
         inst = line_instance(24, seed=0)
         cover = max_weight_cycle_cover(inst)
-        assert calls == []
+        assert calls == [] and priced == []
         assert cover.weight == pytest.approx(full_gadget_cover(inst).weight, rel=1e-9)
+        # a fractional point is priced, so the patch above sees the calls
+        assert is_fractional(random_metric(24, 4))
+        max_weight_cycle_cover(random_metric(24, 4))
+        assert priced
 
     # With no search budget the blossom finishes the cover, and with no
     # incumbent to start from, both instances need its second run: the
@@ -603,6 +616,77 @@ class TestTwoMatchingLP:
             assert cover.weight <= upper - priced + slack
 
 
+def lp_bytes(t):
+    return t.plan.tobytes(), t.pot_l.tobytes(), t.pot_r.tobytes()
+
+
+def reference_child(monkeypatch, parent, edge, force):
+    """_child_plan with the reference search routing the units taken out."""
+    with monkeypatch.context() as m:
+        m.setattr(cyclecover, "_augment", augment_reference)
+        return cyclecover._child_plan(parent, edge, force)
+
+
+def assert_same_as_reference(monkeypatch, dist, forbidden=(), forced=(), depth=0):
+    """two_matching_lp, and the children of its plan down to depth levels,
+    give the reference's plan and potentials byte for byte, or both raise."""
+    try:
+        expected = lp_bytes(two_matching_lp_reference(dist, forbidden, forced))
+    except cyclecover.InfeasibleLP:
+        with pytest.raises(cyclecover.InfeasibleLP):
+            two_matching_lp(dist, forbidden, forced)
+        return
+    root = two_matching_lp(dist, forbidden, forced)
+    assert lp_bytes(root) == expected
+    nodes = [root]
+    for _ in range(depth):
+        children = []
+        for node in nodes:
+            # the heaviest half edge, as the search branches, or else the
+            # heaviest pair in use
+            twice_x = cyclecover._lp_point(node.plan, dist)
+            on = np.triu(twice_x == 1) if (twice_x == 1).any() else np.triu(twice_x == 2)
+            flat = int(np.where(on, dist, -np.inf).argmax())
+            edge = (flat // len(dist), flat % len(dist))
+            for force in (False, True):
+                try:
+                    expected = lp_bytes(reference_child(monkeypatch, node, edge, force))
+                except cyclecover.InfeasibleLP:
+                    with pytest.raises(cyclecover.InfeasibleLP):
+                        cyclecover._child_plan(node, edge, force)
+                    continue
+                child = cyclecover._child_plan(node, edge, force)
+                assert lp_bytes(child) == expected
+                children.append(child)
+        nodes = children
+
+
+class TestAgainstReferenceSearch:
+    """The plan and potentials are those of the array-only search, to the byte."""
+
+    @pytest.mark.parametrize("family,d", [("line", None), ("euclidean", 2), ("random-metric", None)])
+    def test_generated_families(self, monkeypatch, family, d):
+        for n in (*range(3, 25), 40, 60):
+            for seed in range(3):
+                dist = generate(GeneratorSpec(family=family, n=n, d=d, seed=seed)).dist
+                assert_same_as_reference(monkeypatch, dist, depth=2 if n <= 24 else 1)
+
+    def test_integer_weights_and_degenerate_inputs(self, monkeypatch):
+        for n in range(3, 25):
+            for seed in range(3):
+                assert_same_as_reference(monkeypatch, random_weights(n, seed).dist, depth=2)
+        for n in (*range(3, 25), 40, 60):
+            for _, inst in degenerate_instances(n, seed=n):
+                assert_same_as_reference(monkeypatch, inst.dist, depth=1)
+
+    def test_constrained_lps(self, monkeypatch):
+        for n in (8, 13, 24, 40, 60):
+            for seed in range(3):
+                forbidden, forced = some_constraints(n, seed=n + seed)
+                for inst in (random_metric(n, seed), line_instance(n, seed), random_weights(n, seed)):
+                    assert_same_as_reference(monkeypatch, inst.dist, forbidden, forced)
+
+
 class TestBruteForceCover:
     def test_n3(self):
         inst = random_metric(3, seed=9)
@@ -632,6 +716,22 @@ def test_cover_weight_consistency():
     cover = max_weight_cycle_cover(inst)
     recomputed = sum(cycle_weight(inst, c) for c in cover.cycles)
     assert cover.weight == pytest.approx(recomputed, rel=1e-12)
+
+
+def test_tour_is_the_same_from_every_rotation_and_reflection():
+    for n in (5, 12, 24):
+        for family, d in (("euclidean", 2), ("random-metric", None)):
+            inst = generate(GeneratorSpec(family=family, n=n, d=d, seed=n))
+            order = [int(v) for v in np.random.default_rng(n).permutation(n)]
+            tours = {
+                Tour.from_order(inst, start[i:] + start[:i])
+                for start in (order, order[::-1])
+                for i in range(n)
+            }
+            assert len(tours) == 1, (n, family)
+            [tour] = tours
+            assert tour.order == canonical_cycle(order)
+            assert tour.weight == cycle_weight(inst, tour.order)
 
 
 def test_open_cycle_at_orientation():

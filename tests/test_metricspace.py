@@ -510,8 +510,9 @@ class TestWorkerCount:
 
 
 class TestUnbufferedScope:
-    """The min-plus blocks run with numpy's ufunc buffer at 16 entries and
-    leave the caller's size as it was, whether they return or raise."""
+    """The min-plus blocks of at least 40 columns run with numpy's ufunc
+    buffer at 16 entries and leave the caller's size as it was, whether
+    they return or raise."""
 
     @pytest.mark.parametrize("cpus, n", [(1, 40), (1, 300), (2, 300)])
     def test_validate_keeps_the_caller_size(self, monkeypatch, caller_bufsize, cpus, n):
@@ -534,6 +535,25 @@ class TestUnbufferedScope:
         with pytest.raises(RuntimeError, match="block failed"):
             metricspace._min_plus_square(d)
         assert np.getbufsize() == caller_bufsize
+
+    def test_only_wide_blocks_enter_the_scope(self, monkeypatch, caller_bufsize):
+        # blocks of 30 rows at n = 100 are 100, 70, 40 and 10 columns wide:
+        # the first three enter the scope, and the square is the same bytes
+        # as in one block, under every caller size
+        d = symmetric_matrix(100, "ties-signed-zeros", seed=2)
+        whole = metricspace._min_plus_square(d).tobytes()
+        entered = []
+        scope = metricspace._unbuffered
+        monkeypatch.setattr(metricspace, "_unbuffered", lambda: entered.append(1) or scope())
+        monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", 3000)
+        monkeypatch.setattr(metricspace, "_cpus", lambda: 1)
+        for size in (16, 8192, 1 << 20):
+            np.setbufsize(size)
+            assert metricspace._min_plus_square(d).tobytes() == whole
+        assert len(entered) == 3 * 3
+        entered.clear()
+        metricspace._min_plus_square(d[:24, :24])
+        assert entered == []
 
     @pytest.mark.parametrize("kind", ["uniform", "ties-signed-zeros"])
     def test_square_is_bit_identical_under_any_caller_size(self, caller_bufsize, kind):
