@@ -1,7 +1,7 @@
 """Exact solver: Held-Karp dynamic programming over two half paths.
 
 held_karp_max is exact up to a hard cap of 20 vertices, where it takes
-about a third of a second and 83 MiB.  exact_dp wraps it in the
+about a third of a second and 80 MiB.  exact_dp wraps it in the
 (Tour, Certificate) shape of the other entry points.
 
 Every Instance is exactly symmetric, so a tour 0 -> ... -> 0 is two
@@ -86,15 +86,14 @@ def held_karp_max(inst: Instance) -> Tour:
     m = n - 1
     half, top = m // 2, m - m // 2
     # bit v of a mask stands for vertex v + 1; columns run through the
-    # masks by size, ascending within a size, and rank maps mask to column
+    # masks of at most top bits by size, ascending within a size, so the
+    # singleton {v} sits in column 1 + v (see _column)
+    bounds = np.cumsum([0] + [math.comb(m, k) for k in range(m + 1)])
     masks = np.argsort(
         np.bitwise_count(np.arange(1 << m, dtype=np.int32)), kind="stable"
-    ).astype(np.int32)
-    rank = np.empty_like(masks)
-    rank[masks] = np.arange(1 << m, dtype=np.int32)
-    bounds = np.cumsum([0] + [math.comb(m, k) for k in range(m + 1)])
+    )[: bounds[top + 1]].astype(np.int32)
     dp = np.full((m, int(bounds[top + 1])), -np.inf)
-    dp[np.arange(m), rank[1 << np.arange(m)]] = d[0, 1:]
+    dp[np.arange(m), 1 + np.arange(m)] = d[0, 1:]
     spans = [(int(bounds[k]), int(bounds[k + 1])) for k in range(1, half + 1)]
     if half == top:
         # m even: the join layer is its own complement and would price
@@ -146,20 +145,26 @@ def held_karp_max(inst: Instance) -> Tour:
     i, s = divmod(int(np.argmax(tmp)), hi - lo)
     first = int(masks[lo + s])
     # head runs from i back through S, tail from i back through C
-    head = _walk_back(dp, inner, rank, first | 1 << i, i)
-    tail = _walk_back(dp, inner, rank, ((1 << m) - 1) ^ first, i)
+    head = _walk_back(dp, inner, bounds, first | 1 << i, i)
+    tail = _walk_back(dp, inner, bounds, ((1 << m) - 1) ^ first, i)
     order = [0] + head[::-1] + tail[1:]
     return Tour.from_order(inst, order)
 
 
-def _walk_back(
-    dp: np.ndarray, inner: np.ndarray, rank: np.ndarray, mask: int, v: int
-) -> List[int]:
+def _column(bounds: np.ndarray, mask: int) -> int:
+    """mask's column of the dp table: the first column of its size plus
+    its colex rank, the sum of C(b, t) over its bits b, the t-th lowest
+    for t = 1, 2, ...; ascending masks of one size are in colex order."""
+    bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    return int(bounds[len(bits)]) + sum(math.comb(b, t) for t, b in enumerate(bits, 1))
+
+
+def _walk_back(dp: np.ndarray, inner: np.ndarray, bounds: np.ndarray, mask: int, v: int) -> List[int]:
     """The path of state (mask, v) from v back to its first vertex."""
     path = [v + 1]
     while mask != 1 << v:
         mask ^= 1 << v
-        v = int(np.argmax(dp[:, rank[mask]] + inner[:, v]))
+        v = int(np.argmax(dp[:, _column(bounds, mask)] + inner[:, v]))
         path.append(v + 1)
     return path
 

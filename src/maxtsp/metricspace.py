@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -28,14 +28,18 @@ DEFAULT_TOL_FACTOR = 1e-9
 # parse_instance splits the text in pieces of about this many characters.
 _PARSE_CHUNK = 1 << 16
 
-# Row blocks of the min-plus triangle check hold about this many entries,
-# so a block and its scratch buffer stay in cache across the pass over k.
+# Scratch buffers hold at most about this many float64 entries (512 KiB):
+# the sums of one chunk of k values in the min-plus triangle check, and
+# one row block's coordinate differences in pairwise_distances.
 _BLOCK_ENTRIES = 1 << 16
-# Blocks at least this many columns wide run under _unbuffered.  Narrower
-# ones are faster through numpy's buffered copy: on one core the min-plus
-# pass of a 24-point check takes about 20 % less time without the scope,
-# and the two break even at 36 to 40 columns, both for a square block and
-# for the last block of a 600-point matrix.
+# Row blocks of the min-plus triangle check hold about this many entries,
+# so a block stays in cache while its chunks of k are folded into it.
+_ROW_BLOCK_ENTRIES = 1 << 13
+# Min-plus blocks at least this many columns wide run with numpy's ufunc
+# buffer at 16 entries, narrower ones with a buffer of one k's sums: on
+# one core the two break even at 40 to 44 columns for a square block, the
+# buffered copy takes a 24-point check about 30 % less time, and wide
+# blocks unbuffered take a 600-point check about half the time.
 _UNBUFFERED_MIN_COLUMNS = 40
 
 
@@ -232,15 +236,16 @@ def _cpus() -> int:
 
 
 @contextmanager
-def _unbuffered() -> Iterator[None]:
-    """Run the body with numpy's ufunc buffer at its smallest legal size.
+def _unbuffered(size: int = 16) -> Iterator[None]:
+    """Run the body with numpy's ufunc buffer at size entries, a multiple
+    of 16; by default its smallest legal size.
 
     numpy copies a broadcast operand through that buffer when the inner
     loop is shorter than the buffer; at 16 entries, loops at least that
     long read it in place.  The setting lives in a contextvar, so a thread pool worker
     must enter this itself; the caller's size is restored on exit.
     """
-    old = np.setbufsize(16)
+    old = np.setbufsize(size)
     try:
         yield
     finally:
@@ -250,43 +255,69 @@ def _unbuffered() -> Iterator[None]:
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
     """S[i, j] = min over k of d[i, k] + d[k, j], in float64 arithmetic.
 
-    Rows are filled in blocks of about _BLOCK_ENTRIES entries (one block
-    of all n rows when d is smaller), with one add and one minimum per
-    (block, k) into a scratch buffer sized to the block.  d must be exactly
-    symmetric, as an instance matrix is; then so is S (float addition
-    commutes), so each block fills only the columns from its first row
-    onward, and the rest is copied from the transpose once every block is
-    done.  The blocks write disjoint parts of S, so they run on a thread
-    pool, one worker per CPU the process may run on and no more workers
-    than blocks, handed out widest first; numpy releases the GIL on blocks
-    this large.  A single block runs in the calling thread.  Every entry is
-    the minimum of the same float sums whatever the worker count, so S is
-    bit-identical.  Each block of at least _UNBUFFERED_MIN_COLUMNS
-    columns runs under :func:`_unbuffered`, because under numpy's default
-    buffer the broadcast add copies its operands through that buffer and
-    costs about four times the minimum beside it; on narrower blocks that
-    copy is the cheaper way.
+    Rows are filled in blocks of about _ROW_BLOCK_ENTRIES entries (one
+    block of all n rows when n <= 90).  d must be exactly symmetric, as an
+    instance matrix is; then so is S (float addition commutes), so each
+    block fills only the columns from its first row onward, and the rest
+    is copied from the transpose once every block is done.
+
+    A block takes the k values in chunks whose sums fit a scratch buffer
+    of at most _BLOCK_ENTRIES entries: one broadcast add writes the
+    chunk's sums d[i, k] + d[k, j], one minimum-reduce over k folds them
+    into a block-sized accumulator, and one minimum folds that into the
+    block; the first chunk reduces straight into the block.  Up to n = 40
+    the whole pass is one add and one reduce.  np.minimum settles a tie
+    between -0.0 and 0.0 the same way in every call, and the reduce runs
+    over k in order, so each entry is the minimum of the same float sums
+    in the same order as a loop over one k at a time takes it: S is that
+    loop's, bit for bit, whatever the chunk and block shapes.  (numpy
+    reduces a lone column in SIMD lanes, out of order, so a one-column
+    block takes one k at a time.)  Where a pair of d holds -0.0 and 0.0,
+    a mirrored entry can differ from the loop's in the sign of a zero,
+    which no caller reads.
+
+    The blocks write disjoint parts of S, so they run on a thread pool,
+    handed out widest first; numpy releases the GIL on blocks this
+    large.  It has one worker per CPU the process may run on, but no more
+    workers than blocks or than n^2 / _BLOCK_ENTRIES, so that their
+    scratch buffers together stay within about one n x n matrix.  Every
+    n below 363 runs on one worker, in the calling thread.  Blocks of at
+    least _UNBUFFERED_MIN_COLUMNS columns run under :func:`_unbuffered`,
+    because under numpy's default buffer the broadcast add copies its
+    operands through that buffer; narrower blocks are faster with the
+    copy, through a buffer of one k's sums, which also keeps numpy's
+    iterator buffers that small.
     """
     n = d.shape[0]
-    rows = min(n, max(1, _BLOCK_ENTRIES // n))
+    rows = min(n, max(1, _ROW_BLOCK_ENTRIES // n))
     starts = range(0, n, rows)
     s = np.empty_like(d)
 
     def fill(r0: int) -> None:
         block = s[r0 : r0 + rows, r0:]
-        tmp = np.empty_like(block)
-        with _unbuffered() if n - r0 >= _UNBUFFERED_MIN_COLUMNS else nullcontext():
-            np.add(d[r0 : r0 + rows, :1], d[:1, r0:], out=block)
-            for k in range(1, n):
-                np.add(d[r0 : r0 + rows, k : k + 1], d[k : k + 1, r0:], out=tmp)
-                np.minimum(block, tmp, out=block)
+        h, w = block.shape
+        step = max(1, _BLOCK_ENTRIES // (h * w)) if w > 1 else 1
+        sums = np.empty((min(step, n), h, w))
+        part = np.empty((h, w)) if step < n else None
+        # left[k, i] = d[r0 + i, k], the first operand of every sum
+        left = d[r0 : r0 + rows].T
+        size = 16 if w >= _UNBUFFERED_MIN_COLUMNS else -(-h * w // 16) * 16
+        with _unbuffered(size):
+            for k0 in range(0, n, step):
+                chunk = sums[: n - k0]  # the last chunk may be shorter
+                np.add(left[k0 : k0 + step, :, None], d[k0 : k0 + step, None, r0:], out=chunk)
+                if k0 == 0:
+                    np.minimum.reduce(chunk, axis=0, out=block)
+                else:
+                    np.minimum.reduce(chunk, axis=0, out=part)
+                    np.minimum(block, part, out=block)
 
-    workers = min(len(starts), _cpus())
+    workers = min(len(starts), _cpus(), max(1, n * n // _BLOCK_ENTRIES))
     if workers == 1:
         for r0 in starts:
             fill(r0)
     else:
-        # imported here: it loads logging, which one-block callers never need
+        # imported here: it loads logging, which one-worker callers never need
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:

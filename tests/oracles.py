@@ -20,6 +20,9 @@
 - The distance matrix of points from one array of all pairwise
   differences (pairwise_distances_whole), for the row-blocked
   pairwise_distances.
+- The min-plus square by one add and one minimum per row block and k
+  (min_plus_square_reference), for the chunked kernel of the triangle
+  check and the random-metric closure, which must match it byte for byte.
 - The cover LP with a mask-based zero-cost start and an augmenting
   search on numpy arrays throughout (two_matching_lp_reference,
   augment_reference), for two_matching_lp and _child_plan, whose plans
@@ -404,6 +407,30 @@ def pairwise_distances_whole(points: Sequence[Sequence[float]], norm: str) -> np
             d = np.abs(diff).max(axis=2)
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
+
+
+def min_plus_square_reference(d: np.ndarray) -> np.ndarray:
+    """S[i, j] = min over k of d[i, k] + d[k, j], one k at a time.
+
+    The kernel metricspace._min_plus_square replaced, on one thread:
+    row blocks of about 2^16 entries, each filled from its first row's
+    column onward by an add of d[rows, k] + d[k, cols] into a scratch
+    buffer and a minimum into the block, for k = 0, 1, ..., n - 1 in
+    turn; the lower triangle is the upper one mirrored.
+    """
+    n = d.shape[0]
+    rows = min(n, max(1, (1 << 16) // n))
+    s = np.empty_like(d)
+    for r0 in range(0, n, rows):
+        block = s[r0 : r0 + rows, r0:]
+        tmp = np.empty_like(block)
+        np.add(d[r0 : r0 + rows, :1], d[:1, r0:], out=block)
+        for k in range(1, n):
+            np.add(d[r0 : r0 + rows, k : k + 1], d[k : k + 1, r0:], out=tmp)
+            np.minimum(block, tmp, out=block)
+    for r0 in range(0, n, rows):
+        s[r0 : r0 + rows, :r0] = s[:r0, r0 : r0 + rows].T
+    return s
 
 
 def augment_reference(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:

@@ -214,8 +214,8 @@ class TestStreamedFiles:
         # the file is read line by line and the points' differences exist
         # one row block at a time; a whole read, or all n x n x d
         # differences at once, peaks at 4.9 to 25 matrices here.  Two
-        # workers fix the metric check's scratch (a block buffer each) on
-        # any host, and the untraced first call loads the thread pool.
+        # workers fix the metric check's scratch (a chunk buffer and an
+        # accumulator each) on any host, and the untraced first call loads the thread pool.
         n = 600
         monkeypatch.setattr(maxtsp.metricspace, "_cpus", lambda: 2)
         inst = Instance.from_points(np.random.default_rng(7).uniform(size=(n, dim)), norm)

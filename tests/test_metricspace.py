@@ -27,7 +27,7 @@ from maxtsp.cli import main
 from maxtsp.metricspace import parse_instance, pairwise_distances
 
 from conftest import equilateral, random_metric
-from oracles import floyd_warshall_closure, pairwise_distances_whole
+from oracles import floyd_warshall_closure, min_plus_square_reference, pairwise_distances_whole
 
 
 # d[0,3] = 3 > d[0,1] + d[1,3] = 2: a violation of a third of the longest
@@ -230,7 +230,7 @@ class TestValidateMetric:
         assert_matches_loop(Instance(d), tol)
 
     def test_several_blocks_symmetric(self):
-        # n > 256 splits the min-plus pass into more than one row block
+        # n > 90 splits the min-plus pass into more than one row block
         inst = generate(GeneratorSpec(family="euclidean", n=300, d=2, seed=4))
         assert assert_matches_loop(inst, tol=0.0).passed
 
@@ -338,7 +338,7 @@ class TestGenerate:
         assert closed.tobytes() == floyd_warshall_closure(raw).tobytes()
 
     def test_closure_over_several_blocks(self):
-        # n > 256 squares in more than one row block
+        # n > 90 squares in more than one row block
         raw = np.random.default_rng(8).exponential(size=(300, 300))
         raw = (raw + raw.T) / 2.0
         np.fill_diagonal(raw, 0.0)
@@ -384,6 +384,90 @@ def symmetric_matrix(n, kind, seed=0):
     return d
 
 
+def pass_shape(n):
+    """(row blocks, workers allowed) of the min-plus pass at size n."""
+    blocks = -(-n // max(1, metricspace._ROW_BLOCK_ENTRIES // n))
+    return blocks, min(blocks, max(1, n * n // metricspace._BLOCK_ENTRIES))
+
+
+class TestReferenceKernel:
+    """The chunked min-plus pass equals the add-then-minimum loop over one
+    k at a time (min_plus_square_reference) byte for byte."""
+
+    SIZES = [3, 4, 5, 17, 24, 40, 41, 89, 90, 91, 92, 181, 256, 257, 362, 363, 541, 601]
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties-signed-zeros", "all-zero"])
+    def test_sizes_across_block_boundaries(self, monkeypatch, kind):
+        # 541 ends in a one-row, one-column block; 363 is the first size
+        # with two workers
+        for n in self.SIZES:
+            d = symmetric_matrix(n, kind, seed=n)
+            want = min_plus_square_reference(d).tobytes()
+            for cpus in (1, 2, 3, 7, 64):
+                monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
+                assert metricspace._min_plus_square(d).tobytes() == want, (n, cpus)
+                if pass_shape(n)[1] == 1:
+                    break
+
+    @pytest.mark.parametrize("row_entries, chunk_entries", [(7, 50), (100, 300), (1000, 3000), (3000, 2000)])
+    @pytest.mark.parametrize("kind", ["uniform", "ties-signed-zeros"])
+    def test_ragged_chunks_and_blocks(self, monkeypatch, kind, row_entries, chunk_entries):
+        # small budgets cut one-row blocks, chunks of one k and short last
+        # chunks, on three workers where the sizes allow them
+        monkeypatch.setattr(metricspace, "_cpus", lambda: 3)
+        for n in (3, 9, 17, 25, 33, 41, 89, 91, 130):
+            d = symmetric_matrix(n, kind, seed=n)
+            want = min_plus_square_reference(d).tobytes()
+            with mock.patch.multiple(metricspace, _ROW_BLOCK_ENTRIES=row_entries,
+                                     _BLOCK_ENTRIES=chunk_entries):
+                assert metricspace._min_plus_square(d).tobytes() == want, n
+
+    @settings(max_examples=150, deadline=None)
+    @given(distance_matrices(), st.booleans(), st.sampled_from([None, (50, 200), (7, 30)]))
+    def test_mirror_pairs_with_zeros_of_either_sign(self, d, flip, budgets):
+        # an instance may hold 0.0 on one side of a pair and -0.0 on the
+        # other.  Every entry on or above the diagonal is still computed
+        # from d[i, k] + d[k, j] in k order, so it keeps its bytes; one
+        # below it, mirrored from another block, can differ from the
+        # reference only in the sign of a zero, which the report never
+        # shows
+        if flip:
+            zero = d == 0.0
+            d[np.triu(zero, k=1)] = 0.0
+            d[np.tril(zero, k=-1)] = -0.0
+        want = min_plus_square_reference(d)
+        with mock.patch.object(metricspace, "_min_plus_square", min_plus_square_reference):
+            report = validate_metric(Instance(d))
+        row_entries, chunk_entries = budgets or (metricspace._ROW_BLOCK_ENTRIES,
+                                                 metricspace._BLOCK_ENTRIES)
+        with mock.patch.multiple(metricspace, _ROW_BLOCK_ENTRIES=row_entries,
+                                 _BLOCK_ENTRIES=chunk_entries):
+            got = metricspace._min_plus_square(d)
+            assert repr(validate_metric(Instance(d))) == repr(report)
+        upper = np.triu_indices(len(d))
+        assert got[upper].tobytes() == want[upper].tobytes()
+        assert np.array_equal(got, want)
+        if not flip or budgets is None:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, budgets", [
+        (24, None), (400, None), (600, None), (24, (100, 300)), (130, (1000, 3000)),
+    ])
+    def test_generated_random_metric_matrix(self, monkeypatch, n, budgets):
+        # the closure squares with the kernel until no entry drops; so does
+        # the reference closure, with the reference kernel
+        monkeypatch.setattr(metricspace, "_min_plus_square", min_plus_square_reference)
+        want = dump_instance(generate(GeneratorSpec(family="random-metric", n=n, seed=7)))
+        monkeypatch.undo()
+        if budgets:
+            monkeypatch.setattr(metricspace, "_ROW_BLOCK_ENTRIES", budgets[0])
+            monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", budgets[1])
+        for cpus in (1, 2):
+            monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
+            got = generate(GeneratorSpec(family="random-metric", n=n, seed=7))
+            assert dump_instance(got) == want
+
+
 class TestWorkerCount:
     """The min-plus pass gives the same bits on every number of CPUs."""
 
@@ -401,20 +485,24 @@ class TestWorkerCount:
         return started
 
     @pytest.mark.parametrize("kind", ["uniform", "ties-signed-zeros", "all-zero"])
-    @pytest.mark.parametrize("n", [256, 257, 300, 601])
+    @pytest.mark.parametrize("n", [256, 257, 300, 363, 601])
     def test_min_plus_square_is_bit_identical(self, monkeypatch, pools, n, kind):
+        # one worker per CPU, but no more than blocks or than n^2 /
+        # _BLOCK_ENTRIES: 601 has 47 blocks and at most five workers
         d = symmetric_matrix(n, kind)
-        blocks = -(-n // (metricspace._BLOCK_ENTRIES // n))
+        blocks, allowed = pass_shape(n)
         results = []
         for cpus in (1, 2, 3, 7):
             monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
             results.append(metricspace._min_plus_square(d).tobytes())
         assert results[1:] == results[:1] * 3
-        assert pools == [min(cpus, blocks) for cpus in (2, 3, 7) if blocks > 1]
+        assert pools == [min(cpus, allowed) for cpus in (2, 3, 7) if min(cpus, allowed) > 1]
 
     def test_more_workers_than_cpus_in_small_blocks(self, monkeypatch, pools):
-        # 16-row blocks: twelve of them, so seven workers all run, and a
-        # short switch interval interleaves them often
+        # 16-row blocks: twelve of them, and room for eleven workers, so
+        # seven workers all run, and a short switch interval interleaves
+        # them often
+        monkeypatch.setattr(metricspace, "_ROW_BLOCK_ENTRIES", 16 * 180)
         monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", 16 * 180)
         d = symmetric_matrix(180, "ties-signed-zeros", seed=3)
         monkeypatch.setattr(metricspace, "_cpus", lambda: 1)
@@ -430,19 +518,21 @@ class TestWorkerCount:
         assert pools == [7] * 5
 
     def test_reports_and_generated_matrix_match(self, monkeypatch):
-        d = symmetric_matrix(300, "ties-signed-zeros", seed=9)
+        # n = 400 runs on two workers when two CPUs are allowed
+        d = symmetric_matrix(400, "ties-signed-zeros", seed=9)
         seen = set()
         for cpus in (1, 2, 3, 7):
             monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
             rep = validate_metric(Instance(d))
-            gen = generate(GeneratorSpec(family="random-metric", n=300, seed=2))
+            gen = generate(GeneratorSpec(family="random-metric", n=400, seed=2))
             seen.add((repr(rep.max_triangle_violation), rep.worst_triple, rep.passed,
                       gen.dist.tobytes()))
         assert len(seen) == 1
 
-    def test_memory_peak_with_a_worker_per_block(self, monkeypatch):
-        # a many-core host runs all six blocks of n = 600 at once, each
-        # with its own scratch buffer; the peak stays under the same bound
+    def test_memory_peak_on_64_cpus(self, monkeypatch):
+        # a many-core host runs n = 600 on five workers, not one per each
+        # of its 47 blocks: their chunk buffers of at most 2^16 entries
+        # stay within one matrix, and the peak under the same bound
         monkeypatch.setattr(metricspace, "_cpus", lambda: 64)
         n = 600
         inst = generate(GeneratorSpec(family="euclidean", n=n, d=2, seed=5))
@@ -454,12 +544,13 @@ class TestWorkerCount:
             tracemalloc.stop()
         assert peak <= 3.5 * n * n * 8
 
-    def test_memory_peak_with_two_workers_at_n_300(self, monkeypatch):
-        # the gaps, one block buffer of 218 x 300 and a small one: under
-        # numpy's default ufunc buffer each broadcast add would also
-        # allocate 2 x 64 KiB of iterator buffers per worker, 0.36 matrix
-        # here.  The warm-up call loads the thread pool's modules, whose
-        # import would otherwise count once per process
+    def test_memory_peak_on_two_cpus_at_n_300(self, monkeypatch):
+        # n^2 is under two chunk buffers, so the pass keeps one worker:
+        # the gaps, one chunk buffer of 8 x 27 x 300 and its 27 x 300
+        # accumulator.  Under numpy's default ufunc buffer each broadcast
+        # add would also allocate 2 x 64 KiB of iterator buffers.  The
+        # warm-up call loads whatever the pass imports, which would
+        # otherwise count once per process
         monkeypatch.setattr(metricspace, "_cpus", lambda: 2)
         n = 300
         inst = generate(GeneratorSpec(family="euclidean", n=n, d=2, seed=5))
@@ -472,13 +563,15 @@ class TestWorkerCount:
             tracemalloc.stop()
         assert peak <= 2.0 * n * n * 8
 
-    def test_one_block_starts_no_thread(self, monkeypatch, tmp_path, capsys):
+    def test_one_worker_starts_no_thread(self, monkeypatch, tmp_path, capsys):
+        # every n below 363 runs on one worker, in the calling thread:
+        # 17 and 24 in one block, 256 and 362 in several
         def no_threads(*args, **kwargs):
-            raise AssertionError("a one-block matrix started a thread pool")
+            raise AssertionError("a one-worker pass started a thread pool")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
         monkeypatch.setattr(metricspace, "_cpus", lambda: 8)
-        for n in (17, 24, 256):
+        for n in (17, 24, 256, 362):
             for family, d in (("euclidean", 2), ("random-metric", None)):
                 inst = generate(GeneratorSpec(family=family, n=n, d=d, seed=1))
                 assert validate_metric(inst).passed
@@ -489,16 +582,16 @@ class TestWorkerCount:
             assert main(["solve", str(path), *flags]) == 0
         assert main(["validate", str(path)]) == 0
         capsys.readouterr()
-        with pytest.raises(AssertionError, match="one-block"):
-            validate_metric(generate(GeneratorSpec(family="line", n=257, seed=1)))
+        with pytest.raises(AssertionError, match="one-worker"):
+            validate_metric(generate(GeneratorSpec(family="line", n=363, seed=1)))
 
-    def test_one_block_callers_never_load_the_pool(self):
+    def test_one_worker_callers_never_load_the_pool(self):
         # the pool's module loads logging: about 0.6 MB of resident memory
         # that a process solving only small instances does not need
         src = os.path.dirname(os.path.dirname(metricspace.__file__))
         code = (
             "import sys, maxtsp\n"
-            "inst = maxtsp.generate(maxtsp.GeneratorSpec('random-metric', 256, seed=1))\n"
+            "inst = maxtsp.generate(maxtsp.GeneratorSpec('random-metric', 362, seed=1))\n"
             "assert maxtsp.validate_metric(inst).passed\n"
             "maxtsp.exact_dp(maxtsp.generate(maxtsp.GeneratorSpec('line', 17, seed=1)))\n"
             "print('concurrent.futures' in sys.modules)\n"
@@ -511,8 +604,8 @@ class TestWorkerCount:
 
 class TestUnbufferedScope:
     """The min-plus blocks of at least 40 columns run with numpy's ufunc
-    buffer at 16 entries and leave the caller's size as it was, whether
-    they return or raise."""
+    buffer at 16 entries, narrower ones with a buffer of one k's sums, and
+    all leave the caller's size as it was, whether they return or raise."""
 
     @pytest.mark.parametrize("cpus, n", [(1, 40), (1, 300), (2, 300)])
     def test_validate_keeps_the_caller_size(self, monkeypatch, caller_bufsize, cpus, n):
@@ -529,31 +622,35 @@ class TestUnbufferedScope:
         def boom(*args, **kwargs):
             raise RuntimeError("block failed")
 
-        d = symmetric_matrix(300, "uniform")
+        d = symmetric_matrix(400, "uniform")
         monkeypatch.setattr(metricspace, "_cpus", lambda: cpus)
-        monkeypatch.setattr(np, "minimum", boom)
+        monkeypatch.setattr(np, "add", boom)
         with pytest.raises(RuntimeError, match="block failed"):
             metricspace._min_plus_square(d)
         assert np.getbufsize() == caller_bufsize
 
     def test_only_wide_blocks_enter_the_scope(self, monkeypatch, caller_bufsize):
         # blocks of 30 rows at n = 100 are 100, 70, 40 and 10 columns wide:
-        # the first three enter the scope, and the square is the same bytes
-        # as in one block, under every caller size
+        # the first three run unbuffered, the last with a buffer of one
+        # k's 10 x 10 sums rounded up to 112, and the square, in chunks of
+        # 2, 2, 5 and 60 k values, is the same bytes as in one block, under
+        # every caller size
         d = symmetric_matrix(100, "ties-signed-zeros", seed=2)
         whole = metricspace._min_plus_square(d).tobytes()
         entered = []
         scope = metricspace._unbuffered
-        monkeypatch.setattr(metricspace, "_unbuffered", lambda: entered.append(1) or scope())
-        monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", 3000)
+        monkeypatch.setattr(metricspace, "_unbuffered",
+                            lambda size=16: entered.append(size) or scope(size))
+        monkeypatch.setattr(metricspace, "_ROW_BLOCK_ENTRIES", 3000)
+        monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", 6000)
         monkeypatch.setattr(metricspace, "_cpus", lambda: 1)
         for size in (16, 8192, 1 << 20):
             np.setbufsize(size)
             assert metricspace._min_plus_square(d).tobytes() == whole
-        assert len(entered) == 3 * 3
+        assert entered == [16, 16, 16, 112] * 3
         entered.clear()
         metricspace._min_plus_square(d[:24, :24])
-        assert entered == []
+        assert entered == [576]
 
     @pytest.mark.parametrize("kind", ["uniform", "ties-signed-zeros"])
     def test_square_is_bit_identical_under_any_caller_size(self, caller_bufsize, kind):
