@@ -159,7 +159,9 @@ def _column(bounds: np.ndarray, mask: int) -> int:
     return int(bounds[len(bits)]) + sum(math.comb(b, t) for t, b in enumerate(bits, 1))
 
 
-def _walk_back(dp: np.ndarray, inner: np.ndarray, bounds: np.ndarray, mask: int, v: int) -> List[int]:
+def _walk_back(
+    dp: np.ndarray, inner: np.ndarray, bounds: np.ndarray, mask: int, v: int
+) -> List[int]:
     """The path of state (mask, v) from v back to its first vertex."""
     path = [v + 1]
     while mask != 1 << v:
