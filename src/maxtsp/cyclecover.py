@@ -9,7 +9,10 @@ double cover (Edmonds 1965): arcs u -> v for u != v with capacity 1,
 supply and demand 2 at every vertex.  A column and a row reduction give
 every arc a reduced cost of at least 0; the arcs of cost 0 are placed
 first, and shortest augmenting paths route the units left (Jonker &
-Volgenant 1987).  With z an optimal 0/1 flow, the symmetrisation
+Volgenant 1987), in phases: one Dijkstra settles every column with
+demand it can reach, and a unit goes along each of its vertex-disjoint
+shortest paths, so at most 2n phases of O(n^2) run, O(n^3) in all.
+With z an optimal 0/1 flow, the symmetrisation
 x = (z + z^T) / 2 is a half-integral optimal LP point.
 Its half edges that form components with an even edge count are rounded
 to 0/1 along an Euler circuit, which keeps x feasible and optimal.  When
@@ -26,7 +29,7 @@ optimal.  A best-first branch and bound then closes the gap (Carpaneto &
 Toth 1980): a node forbids or forces some pairs, its LP keeps b_v =
 2 - (forced pairs at v) as the degree of each vertex, and the same
 bound, with the forced pairs' weight added, prices its covers.  Each
-child is re-solved from its parent's plan with a few augmenting paths.
+child is re-solved from its parent's plan with a few augmenting phases.
 A node branches on its heaviest half edge; nodes whose bound is within
 the pricing slack of the best cover found are pruned.  After
 SEARCH_NODE_BUDGET child LPs the search stops, and exact matching on a
@@ -298,11 +301,21 @@ class TransportPlan:
 def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
     """Route every unit of supply left to demand along shortest paths, in place.
 
-    Each augmentation is a dense Dijkstra in O(n^2) from the rows with
-    supply left that stops at the first column with demand left
-    (Jonker & Volgenant 1987).  The plan's used arcs must cost 0 and its
-    free arcs at least 0, and both stay so.  Raises InfeasibleLP when a
-    unit of supply reaches no column with demand.
+    The units go in phases (successive shortest paths, Ahuja, Magnanti &
+    Orlin 1993, ch. 9), each one dense Dijkstra in O(n^2) from every row
+    with supply left (Jonker & Volgenant 1987).  It settles columns, those
+    with demand expanded like any other, until every column with demand
+    left is settled or no more can be reached.  The potentials then shift
+    by the labels capped at the last settled one, which keeps every
+    reduced cost at least 0 and makes each tree arc cost 0.  Last, one
+    unit goes back along the tree path of each settled column with demand,
+    in the order they settled, unless the path meets a column of a path
+    routed before it in the phase, or its source has no supply left.  The
+    routed paths share no vertex but their sources, so each is still a
+    shortest path when the earlier ones are in.  The first one always
+    routes, so at most sum(supply) phases run, O(n^3) in all.  The plan's
+    used arcs must cost 0 and its free arcs at least 0, and both stay so.
+    Raises InfeasibleLP when a phase settles no column with demand left.
 
     At the sizes the pipeline meets most, a search costs numpy calls more
     than arithmetic, so the row labels, their back links and the demand
@@ -324,7 +337,8 @@ def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
     row = np.empty(n)
     better = np.empty(n, dtype=bool)
     cols = np.arange(n)
-    for _ in range(sum(supply)):
+    left = sum(supply)
+    while left:
         np.add(cost, pot_l[:, None], out=red)
         red -= pot_r
         # Clamping rounding errors at zero keeps the search a true Dijkstra.
@@ -339,14 +353,20 @@ def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
         dist_r = forward[via_l, cols]
         # dist_r on the open columns and inf on the closed ones.
         pending = dist_r.copy()
+        wanted = sum(1 for v in range(n) if demand[v] > 0)
+        # The columns with demand left, in the order they settle.
+        sinks: List[int] = []
         while True:
             v = int(pending.argmin())
-            reach = pending.item(v)
-            if not reach < np.inf:
-                raise InfeasibleLP("transportation problem is infeasible")
-            if demand[v] > 0:
+            label = pending.item(v)
+            if not label < np.inf:
                 break
+            reach = label
             pending[v] = np.inf
+            if demand[v] > 0:
+                sinks.append(v)
+                if len(sinks) == wanted:
+                    break
             for u in used[v]:
                 label = reach + max(0.0, -red.item(u, v))
                 if label >= dist_l[u]:
@@ -362,20 +382,37 @@ def _augment(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
                     dist_r[gains] = gain
                     pending[gains] = gain
                     via_l[gains] = u
-        # Labels capped at dist_r[v] keep every reduced cost nonnegative.
+        if not sinks:
+            raise InfeasibleLP("transportation problem is infeasible")
+        # Labels capped at the last settled one keep every reduced cost >= 0.
         pot_l += np.minimum(dist_l, reach)
         pot_r += np.minimum(dist_r, reach)
-        demand[v] -= 1
-        while True:
-            u = int(via_l[v])
-            plan[u, v] = True
-            used[v].append(u)
-            if via_r[u] < 0:
-                supply[u] -= 1
-                break
-            v = via_r[u]
-            plan[u, v] = False
-            used[v].remove(u)
+        # The columns on this phase's routed paths.  Every row on a path
+        # but its source is followed by its own via_r column, so paths with
+        # no column in common share no such row either.
+        taken = [False] * n
+        for sink in sinks:
+            arcs: List[Edge] = []
+            v = sink
+            while not taken[v]:
+                u = via_l.item(v)
+                arcs.append((u, v))
+                v = via_r[u]
+                if v < 0:
+                    break
+            # Stopped at a taken column, or the source has run out.
+            if v >= 0 or not supply[u]:
+                continue
+            supply[u] -= 1
+            demand[sink] -= 1
+            left -= 1
+            for u, v in arcs:
+                taken[v] = True
+                plan[u, v] = True
+                used[v].append(u)
+                if via_r[u] >= 0:
+                    plan[u, via_r[u]] = False
+                    used[via_r[u]].remove(u)
 
 
 def two_matching_lp(
@@ -387,9 +424,11 @@ def two_matching_lp(
     cover (zero diagonal, every row and column sum 2).
     A column and then a row reduction of the costs give potentials under
     which every arc costs at least 0; the start places arcs of cost 0
-    greedily, and shortest augmenting paths route the units left, each
-    in O(n^2), so O(n^3) in all.  duals() gives vertex duals y of the
-    symmetric LP, derived from the final potentials.
+    greedily, and shortest augmenting paths route the units left in at
+    most 2n phases (see _augment), each one Dijkstra in O(n^2) that
+    routes every vertex-disjoint shortest path it finds, so O(n^3) in
+    all.  duals() gives vertex duals y of the symmetric LP, derived from
+    the final potentials.
 
     The forbidden pairs get no arc.  The forced pairs count as already
     chosen: they get no arc either, and vertex v's row and column sums
@@ -439,8 +478,9 @@ def _child_plan(parent: TransportPlan, edge: Edge, force: bool) -> TransportPlan
     in its column, which leaves those two rows and columns without used
     arcs.  Shifting their potentials until each of their arcs costs at
     least 0 then keeps every reduced cost nonnegative, so the few units
-    taken out are routed back by the same shortest augmenting paths: a
-    handful of O(n^2) searches instead of a fresh solve.
+    taken out (at most eight) are routed back by the same phased search:
+    at most eight O(n^2) phases, often fewer since one phase routes every
+    disjoint shortest path, instead of a fresh solve.
     """
     u, v = edge
     t = TransportPlan(

@@ -23,8 +23,8 @@
 - The min-plus square by one add and one minimum per row block and k
   (min_plus_square_reference), for the chunked kernel of the triangle
   check and the random-metric closure, which must match it byte for byte.
-- The cover LP with a mask-based zero-cost start and an augmenting
-  search on numpy arrays throughout (two_matching_lp_reference,
+- The cover LP with a mask-based zero-cost start and a phased
+  augmenting search on numpy arrays throughout (two_matching_lp_reference,
   augment_reference), for two_matching_lp and _child_plan, whose plans
   and potentials must match it byte for byte.
 """
@@ -436,9 +436,15 @@ def min_plus_square_reference(d: np.ndarray) -> np.ndarray:
 def augment_reference(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:
     """cyclecover._augment with every label in a numpy array.
 
-    The same Dijkstra, the same tie-breaking and the same float sums; a
-    row that settles relaxes the column labels through np.copyto with a
-    where mask.  supply and demand are updated in place.
+    The same phases, the same tie-breaking and the same float sums.  A
+    phase's Dijkstra runs while a column with demand left is unsettled
+    and some column can be reached; a row that settles relaxes the column
+    labels through np.copyto with a where mask.  The potentials shift by
+    the labels capped at the last settled one.  Then the settled columns
+    with demand, in settling order, each route one unit along their tree
+    path unless it shares a column, or a row other than its source, with
+    a path routed before it in the phase, or its source has no supply
+    left.  supply and demand are updated in place.
     """
     cost, plan, pot_l, pot_r = t.cost, t.plan, t.pot_l, t.pot_r
     n = len(supply)
@@ -448,7 +454,7 @@ def augment_reference(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) 
     red = np.empty((n, n))
     forward = np.empty((n, n))
     better = np.empty(n, dtype=bool)
-    for _ in range(int(supply.sum())):
+    while supply.sum():
         np.add(cost, pot_l[:, None], out=red)
         red -= pot_r
         np.maximum(red, 0.0, out=forward)
@@ -460,14 +466,17 @@ def augment_reference(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) 
         via_l = sources[forward[sources].argmin(axis=0)]
         dist_r = forward[via_l, np.arange(n)]
         pending = dist_r.copy()
-        while True:
+        settled = np.zeros(n, dtype=bool)
+        sinks = []
+        while (~settled & (demand > 0)).any():
             v = int(pending.argmin())
-            reach = float(pending[v])
-            if not reach < np.inf:
-                raise InfeasibleLP("transportation problem is infeasible")
-            if demand[v] > 0:
+            if not pending[v] < np.inf:
                 break
+            reach = float(pending[v])
             pending[v] = np.inf
+            settled[v] = True
+            if demand[v] > 0:
+                sinks.append(v)
             for u in used[v]:
                 label = reach + max(0.0, -red[u, v])
                 if label >= dist_l[u]:
@@ -479,19 +488,30 @@ def augment_reference(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) 
                 np.copyto(dist_r, row, where=better)
                 np.copyto(pending, row, where=better)
                 np.copyto(via_l, u, where=better)
+        if not sinks:
+            raise InfeasibleLP("transportation problem is infeasible")
         pot_l += np.minimum(dist_l, reach)
         pot_r += np.minimum(dist_r, reach)
-        demand[v] -= 1
-        while True:
-            u = int(via_l[v])
-            plan[u, v] = True
-            used[v].append(u)
-            if via_r[u] < 0:
-                supply[u] -= 1
-                break
-            v = int(via_r[u])
-            plan[u, v] = False
-            used[v].remove(u)
+        col_taken = np.zeros(n, dtype=bool)
+        row_taken = np.zeros(n, dtype=bool)
+        for v in sinks:
+            path_cols, path_rows = [v], [int(via_l[v])]
+            while via_r[path_rows[-1]] >= 0:
+                path_cols.append(int(via_r[path_rows[-1]]))
+                path_rows.append(int(via_l[path_cols[-1]]))
+            source = path_rows[-1]
+            if col_taken[path_cols].any() or row_taken[path_rows[:-1]].any() or not supply[source]:
+                continue
+            col_taken[path_cols] = True
+            row_taken[path_rows] = True
+            supply[source] -= 1
+            demand[v] -= 1
+            for i, (u, w) in enumerate(zip(path_rows, path_cols)):
+                plan[u, w] = True
+                used[w].append(u)
+                if i + 1 < len(path_cols):
+                    plan[u, path_cols[i + 1]] = False
+                    used[path_cols[i + 1]].remove(u)
 
 
 def two_matching_lp_reference(
