@@ -20,6 +20,10 @@
 - The distance matrix of points from one array of all pairwise
   differences (pairwise_distances_whole), for the row-blocked
   pairwise_distances.
+- The instance reader that parses every body token with float() and
+  builds a list of floats per line (parse_instance_reference), for
+  parse_instance, whose C-reader blocks must give the same matrix and
+  points bit for bit, or the same error text.
 - The min-plus square by one add and one minimum per row block and k
   (min_plus_square_reference), for the chunked kernel of the triangle
   check and the random-metric closure, which must match it byte for byte.
@@ -33,7 +37,9 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations, product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -42,7 +48,9 @@ from maxtsp.cyclecover import (
     build_gadget, cycle_edges, edge_weight,
 )
 from maxtsp.exact import check_dp_size
-from maxtsp.metricspace import Instance
+from maxtsp.metricspace import (
+    NORM_TAGS, Instance, _check_finite, _check_symmetric, _nonblank_lines, check_tol, default_tol,
+)
 
 BRUTE_FORCE_VERTEX_CAP = 12
 BRUTE_FORCE_COVER_CAP = 9
@@ -407,6 +415,105 @@ def pairwise_distances_whole(points: Sequence[Sequence[float]], norm: str) -> np
             d = np.abs(diff).max(axis=2)
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
+
+
+def _float_rows_reference(lines: Iterator[str], n: int, what: str, entry: str) -> Iterator[Tuple[int, List[float]]]:
+    """The rest of the lines, n expected, as (index, floats) pairs.
+
+    After the last line it raises ValueError when the line count is not
+    n, else when a value did not parse.  No line after a bad one, or
+    after the n-th, is parsed.
+    """
+    count = 0
+    bad: Optional[ValueError] = None
+    for line in lines:
+        if bad is None and count < n:
+            try:
+                values = list(map(float, line.split()))
+            except ValueError as exc:
+                bad = exc
+            else:
+                yield count, values
+        count += 1
+    if count != n:
+        raise ValueError(f"expected {n} {what}, got {count}")
+    if bad is not None:
+        raise ValueError(f"{entry}: {bad}")
+
+
+def parse_instance_reference(source: Union[str, Iterable[str]], tol: Optional[float] = None) -> Instance:
+    """metricspace.parse_instance as it was before the C reader: every
+    body token goes through float(), one list of floats per line.
+
+    It differs from parse_instance in one message: a points file whose
+    dimension is below 1 is reported after its rows are read, as 'point
+    rows must have <d> coordinates'.
+    """
+    sym_tol = None if tol is None else check_tol(tol)
+    lines = _nonblank_lines(source)
+    try:
+        return _parse_lines_reference(lines, sym_tol)
+    except ValueError:
+        if not isinstance(source, str):
+            # an undecodable byte further on is reported instead
+            for _ in lines:
+                pass
+        raise
+
+
+def _parse_lines_reference(lines: Iterator[str], sym_tol: Optional[float]) -> Instance:
+    first = next(lines, None)
+    if first is None:
+        raise ValueError("empty instance file")
+    header = first.split()
+    if len(header) != 4 or header[0] != "maxtsp" or header[1] != "v1":
+        raise ValueError(f"bad header {first!r}, expected 'maxtsp v1 <n> <mode>'")
+    try:
+        n = int(header[2])
+    except ValueError:
+        raise ValueError(f"bad vertex count {header[2]!r}") from None
+    mode = header[3]
+    if n < 3:
+        raise ValueError(f"need at least 3 vertices, got {n}")
+
+    if mode == "matrix":
+        # a bad entry in any row is reported before a row of the wrong length
+        dist = np.empty((n, n))
+        ragged = False
+        for i, values in _float_rows_reference(lines, n, "matrix rows", "bad matrix entry"):
+            if len(values) == n:
+                dist[i] = values
+            else:
+                ragged = True
+        if ragged:
+            raise ValueError(f"matrix rows must have {n} entries")
+        _check_finite(dist)
+        if sym_tol is None:
+            sym_tol = default_tol(float(np.abs(dist).max()))
+        if _check_symmetric(dist, sym_tol):
+            dist = np.minimum(dist, dist.T)
+        inst = Instance(dist)
+    elif mode == "points":
+        norm_text = next(lines, None)
+        if norm_text is None:
+            raise ValueError("points mode needs a 'norm <tag> dim <d>' line")
+        norm_line = norm_text.split()
+        if len(norm_line) != 4 or norm_line[0] != "norm" or norm_line[2] != "dim":
+            raise ValueError(f"bad norm line {norm_text!r}")
+        norm = norm_line[1]
+        if norm not in NORM_TAGS:
+            raise ValueError(f"unknown norm tag {norm!r}")
+        try:
+            d = int(norm_line[3])
+        except ValueError:
+            raise ValueError(f"bad coordinate dimension {norm_line[3]!r}") from None
+        pts = [values for _, values in _float_rows_reference(lines, n, "point rows", "bad coordinate")]
+        if any(len(p) != d for p in pts):
+            raise ValueError(f"point rows must have {d} coordinates")
+        inst = Instance.from_points(pts, norm)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return inst
 
 
 def min_plus_square_reference(d: np.ndarray) -> np.ndarray:

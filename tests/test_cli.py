@@ -470,6 +470,16 @@ class TestOutOfRangeNumbers:
         assert main(["solve", path, "--five-sixths"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("dim", ("0", "-2"))
+    def test_dimension_below_one_is_named_at_its_line(self, tmp_path, capsys, dim):
+        # the rows would fit dim 1; the norm line is rejected before they are read
+        path = tmp_path / "points.txt"
+        path.write_text(f"maxtsp v1 3 points\nnorm euclidean dim {dim}\n0\n1\n2\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"invalid: bad coordinate dimension '{dim}'\n"
+        assert main(["solve", str(path), "--five-sixths"]) == 1
+        assert capsys.readouterr().err == f"error: bad coordinate dimension '{dim}'\n"
+
     @pytest.mark.parametrize("flags", (["--five-sixths"], ["--exact"], ["--algoA", "0.5"]))
     def test_coordinates_whose_squares_overflow_solve(self, tmp_path, capsys, flags):
         # distances 2e200 and 1e200 are finite although their squares are not

@@ -4,6 +4,7 @@ import concurrent.futures
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,10 +25,13 @@ from maxtsp import (
 )
 from maxtsp import metricspace
 from maxtsp.cli import main
-from maxtsp.metricspace import parse_instance, pairwise_distances
+from maxtsp.metricspace import NORM_TAGS, parse_instance, pairwise_distances
 
 from conftest import equilateral, random_metric
-from oracles import floyd_warshall_closure, min_plus_square_reference, pairwise_distances_whole
+from oracles import (
+    floyd_warshall_closure, min_plus_square_reference, pairwise_distances_whole,
+    parse_instance_reference,
+)
 
 
 # d[0,3] = 3 > d[0,1] + d[1,3] = 2: a violation of a third of the longest
@@ -702,6 +706,86 @@ class TestPairwiseDistances:
         assert peak <= 2.5 * n * n * 8
 
 
+# Ways to write a float, each read by float() as that float: repr, 17
+# digits in exponent form, a plus sign, upper case, an underscore between
+# two digits and Arabic-Indic digits.  numpy's C reader takes the first
+# four and rejects the last two where they change the text, which the
+# per-token loop then reads.
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+SPELLINGS = (
+    repr,
+    lambda x: f"{x:.17e}",
+    lambda x: "+" + repr(x),
+    lambda x: repr(x).upper(),
+    lambda x: re.sub(r"(?<=\d)(?=\d)", "_", repr(x), count=1),
+    lambda x: repr(x).translate(ARABIC_INDIC),
+)
+# tokens float() rejects, and tokens it reads as a non-finite value
+BAD_TOKENS = ("x", "1,5", "--1", "1__0", "_1", "nan(1)", "0x10", "1e", "1d5", "\u0661x", "\x00")
+NON_FINITE_TOKENS = ("inf", "-inf", "+Infinity", "nan", "-nan", "NaN", "1e999")
+# between tokens: whitespace to both readers; \x1c also ends a line
+SEPARATORS = (" ", "  ", "\t", "\xa0", "\u3000", "\x1f", "\x1c")
+
+
+@st.composite
+def instance_texts(draw):
+    """Matrix and points files of 3 to 6 vertices, values spelled in
+    SPELLINGS forms and joined by SEPARATORS, then edited: tokens made bad
+    or non-finite, rows made ragged, rows dropped, extra rows added.  A
+    dimension below 1 is left out, since there the two readers differ."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    finite = st.floats(min_value=-1e300, max_value=1e300)
+    if draw(st.booleans()):
+        upper = draw(st.lists(finite.map(abs), min_size=n * n, max_size=n * n))
+        d = np.triu(np.reshape(upper, (n, n)), 1)
+        rows = (d + d.T).tolist()
+        head = [f"maxtsp v1 {n} matrix"]
+    else:
+        dim = draw(st.integers(min_value=1, max_value=3))
+        rows = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=n, max_size=n))
+        head = [f"maxtsp v1 {n} points", f"norm {draw(st.sampled_from(NORM_TAGS))} dim {dim}"]
+    # each file draws its tokens from one or two spellings and separators,
+    # after a run of rows in repr form
+    spellings = st.sampled_from(draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=2)))
+    separators = st.sampled_from(draw(st.lists(st.sampled_from(SEPARATORS), min_size=1, max_size=2)))
+    plain = draw(st.integers(min_value=0, max_value=n))
+    body = [[(repr if i < plain else draw(spellings))(x) for x in row] for i, row in enumerate(rows)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        edit = draw(st.sampled_from(("bad", "non-finite", "short", "long", "drop", "extra")))
+        if not body:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(body) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(body[i]) - 1))
+        if edit == "bad":
+            body[i][j] = draw(st.sampled_from(BAD_TOKENS))
+        elif edit == "non-finite":
+            body[i][j] = draw(st.sampled_from(NON_FINITE_TOKENS))
+        elif edit == "short" and len(body[i]) > 1:
+            del body[i][j]
+        elif edit == "long":
+            body[i].insert(j, "1")
+        elif edit == "drop":
+            del body[i]
+        elif edit == "extra":
+            body.insert(i, list(body[i]))
+    lines = head + [
+        "".join(tok + draw(separators) for tok in row[:-1]) + row[-1]
+        for row in body if row
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, source):
+    """What a reader makes of source: its error text, or the bytes of the
+    matrix and points it read."""
+    try:
+        inst = parse(source)
+    except ValueError as exc:
+        return str(exc)
+    points = None if inst.points is None else np.array(inst.points).tobytes()
+    return inst.dist.tobytes(), points, inst.norm
+
+
 class TestFileFormat:
     def test_matrix_example(self):
         text = "maxtsp v1 3 matrix\n0 1 1\n1 0 1\n1 1 0\n"
@@ -792,6 +876,82 @@ class TestFileFormat:
         fh = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
         fh._CHUNK_SIZE = chunk
         assert list(metricspace._nonblank_lines(fh)) == lines
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=instance_texts(), entries=st.sampled_from([1, 4, 7, 12, 1 << 13]))
+    def test_c_reader_matches_the_float_reader(self, text, entries):
+        # small blocks put the first block the C reader rejects after
+        # blocks it read, and a 1-entry block holds one row
+        def as_file():
+            return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+        with mock.patch.object(metricspace, "_ROW_BLOCK_ENTRIES", entries):
+            got = parse_outcome(parse_instance, text)
+            assert parse_outcome(parse_instance, as_file()) == got
+        assert got == parse_outcome(parse_instance_reference, text)
+        assert got == parse_outcome(parse_instance_reference, as_file())
+
+    def test_the_float_loop_takes_over_at_the_rejected_block(self):
+        rows = ["0 1 2 3", "1 0 1 2", "2 1 0 1", "3 2 1 0"]
+        rows[3] = "3 2 \u0661 0"  # float() reads an Arabic-Indic 1, the C reader does not
+        text = "maxtsp v1 4 matrix\n" + "\n".join(rows) + "\n"
+        with mock.patch.object(metricspace, "_ROW_BLOCK_ENTRIES", 8), mock.patch.object(
+            metricspace, "_float_rows", wraps=metricspace._float_rows
+        ) as loop:
+            inst = parse_instance(text)
+        # blocks of two rows: the second block goes to the loop, counted from row 2
+        assert loop.call_args.args[2] == 2
+        assert inst.dist.tolist() == [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        (
+            (["0 1 2 3", "1 0 1 2", "2 1 0 1", "3 2 1 0", "4"], "expected 4 matrix rows, got 5"),
+            (["0 1 2 3", "1 0 1 2", "3 2 1_0"], "expected 4 matrix rows, got 3"),
+            (["0 1 2 3", "1 0 1 2", "2 1 0 1", "3 2 x 0", "1 1"], "expected 4 matrix rows, got 5"),
+            (["0 1 2 3", "1 0 1 2", "2 1 0 1", "3 2 x 0 9"], "bad matrix entry: could not convert string to float: 'x'"),
+            (["0 1 2 3", "1 0 1", "2 1 0 1", "3 2 x 0"], "bad matrix entry: could not convert string to float: 'x'"),
+            (["0 1 2 3", "1 0 1 2", "2 1 0 1", "3 2 1"], "matrix rows must have 4 entries"),
+        ),
+    )
+    def test_row_counts_include_the_rows_read_in_blocks(self, rows, message):
+        text = "maxtsp v1 4 matrix\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ValueError) as ref:
+            parse_instance_reference(text)
+        assert str(ref.value) == message
+        # blocks of one row, two rows and all of them
+        for entries in (4, 8, 1 << 13):
+            with mock.patch.object(metricspace, "_ROW_BLOCK_ENTRIES", entries):
+                with pytest.raises(ValueError) as exc:
+                    parse_instance(text)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dim", ("0", "-2", "1.5"))
+    @pytest.mark.parametrize("body", ("", "0\n1\n2\n", "0\n1\n"))
+    def test_a_dimension_below_one_fails_at_its_line(self, dim, body):
+        # the rows after it are never read, so neither their count nor
+        # their length is reported
+        text = f"maxtsp v1 3 points\nnorm euclidean dim {dim}\n" + body
+        with pytest.raises(ValueError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == f"bad coordinate dimension {dim!r}"
+
+    def test_parse_peak_stays_near_two_matrices(self, tmp_path):
+        # the matrix and Instance's copy of it; each block the C reader
+        # returns holds about 2^13 entries
+        n = 600
+        inst = Instance(generate(GeneratorSpec(family="euclidean", n=n, d=2, seed=4)).dist)
+        path = tmp_path / "matrix.txt"
+        path.write_text(dump_instance(inst), encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                again = parse_instance(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(again.dist, inst.dist)
+        assert peak <= 2.3 * n * n * 8
 
     def test_every_line_ending_parses(self):
         rows = ["maxtsp v1 3 matrix", "0 1 1", "1 0 1", "1 1 0"]
