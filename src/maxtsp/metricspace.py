@@ -14,7 +14,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -50,6 +50,12 @@ class Instance:
     ``Instance(dist)`` takes the matrix alone; :meth:`from_points` derives
     it from coordinates.  A doubling-dimension bound goes to the solvers.
 
+    ``Instance(dist)`` copies dist, so the caller may go on writing to its
+    array.  The package's own fresh matrices (the parser's rows, the
+    result of :func:`pairwise_distances` and the random-metric closure)
+    are adopted without a copy through :meth:`_adopt`, which runs the
+    same checks and then makes the array read-only.
+
     Attributes:
         n: vertex count (at least 3 for every solver entry point).
         dist: read-only float64 array of shape (n, n), exactly symmetric
@@ -62,7 +68,16 @@ class Instance:
     __slots__ = ("_dist", "_max", "points", "norm")
 
     def __init__(self, dist: np.ndarray):
-        arr = np.array(dist, dtype=np.float64)
+        self._set(np.array(dist, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Instance":
+        """The instance on arr itself, a float64 array nothing else holds."""
+        inst = cls.__new__(cls)
+        inst._set(arr)
+        return inst
+
+    def _set(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {arr.shape}")
         n = arr.shape[0]
@@ -96,7 +111,7 @@ class Instance:
             raise ValueError(f"points must share one coordinate count >= 1, got {dims}")
         if not all(math.isfinite(c) for p in points for c in p):
             raise ValueError("points contain non-finite coordinates")
-        inst = cls(pairwise_distances(points, norm))
+        inst = cls._adopt(pairwise_distances(points, norm))
         inst.points, inst.norm = points, norm
         return inst
 
@@ -185,18 +200,23 @@ def _check_symmetric(dist: np.ndarray, tol: float) -> bool:
 
     Raises ValueError naming the first pair i < j in row-major order with
     |dist[i, j] - dist[j, i]| > tol.  The float gaps are built only when
-    some pair differs; -0.0 and 0.0 count as equal.
+    some pair differs, one row block at a time; -0.0 and 0.0 count as
+    equal.
     """
     if not (dist != dist.T).any():
         return False
-    over = np.abs(dist - dist.T) > tol
-    if over.any():
-        # over is symmetric, so its first entry in row-major order has i < j
-        i, j = divmod(int(np.argmax(over)), dist.shape[0])
-        raise ValueError(
-            f"symmetry violation at pair ({i}, {j}): "
-            f"dist[{i}][{j}]={float(dist[i, j])!r} vs dist[{j}][{i}]={float(dist[j, i])!r}"
-        )
+    n = dist.shape[0]
+    rows = _row_block_size(n)
+    for r0 in range(0, n, rows):
+        over = np.abs(dist[r0 : r0 + rows] - dist[:, r0 : r0 + rows].T) > tol
+        if over.any():
+            # over is symmetric, so its first entry in row-major order has i < j
+            i, j = divmod(int(np.argmax(over)), n)
+            i += r0
+            raise ValueError(
+                f"symmetry violation at pair ({i}, {j}): "
+                f"dist[{i}][{j}]={float(dist[i, j])!r} vs dist[{j}][{i}]={float(dist[j, i])!r}"
+            )
     return True
 
 
@@ -253,78 +273,98 @@ def _unbuffered(size: int = 16) -> Iterator[None]:
         np.setbufsize(old)
 
 
+def _row_block_size(n: int) -> int:
+    """Rows per row block of an n x n matrix: about _ROW_BLOCK_ENTRIES
+    entries, and all n rows when n <= 90.  The min-plus pass, the
+    symmetry check and the in-place fold all cut their blocks so."""
+    return min(n, max(1, _ROW_BLOCK_ENTRIES // n))
+
+
+def _fill_min_plus(d: np.ndarray, r0: int, block: np.ndarray) -> None:
+    """block[i, j] = min over k of d[r0 + i, k] + d[k, r0 + j], for the
+    block.shape[0] rows of d from row r0 on and its columns from r0 on.
+
+    The k values go in chunks whose sums fit a scratch buffer of at most
+    _BLOCK_ENTRIES entries: one broadcast add writes the chunk's sums
+    d[i, k] + d[k, j], one minimum-reduce over k folds them into a
+    block-sized accumulator, and one minimum folds that into the block;
+    the first chunk reduces straight into the block.  Up to n = 40 the
+    whole block is one add and one reduce.  np.minimum settles a tie
+    between -0.0 and 0.0 the same way in every call, and the reduce runs
+    over k in order, so each entry is the minimum of the same float sums
+    in the same order as a loop over one k at a time takes it, bit for
+    bit, whatever the chunk and block shapes.  (numpy reduces a lone
+    column in SIMD lanes, out of order, so a one-column block takes one
+    k at a time.)
+
+    Blocks of at least _UNBUFFERED_MIN_COLUMNS columns run under
+    :func:`_unbuffered`, because under numpy's default buffer the
+    broadcast add copies its operands through that buffer; narrower
+    blocks are faster with the copy, through a buffer of one k's sums,
+    which also keeps numpy's iterator buffers that small.
+    """
+    n = d.shape[0]
+    h, w = block.shape
+    step = max(1, _BLOCK_ENTRIES // (h * w)) if w > 1 else 1
+    sums = np.empty((min(step, n), h, w))
+    part = np.empty((h, w)) if step < n else None
+    # left[k, i] = d[r0 + i, k], the first operand of every sum
+    left = d[r0 : r0 + h].T
+    size = 16 if w >= _UNBUFFERED_MIN_COLUMNS else -(-h * w // 16) * 16
+    with _unbuffered(size):
+        for k0 in range(0, n, step):
+            chunk = sums[: n - k0]  # the last chunk may be shorter
+            np.add(left[k0 : k0 + step, :, None], d[k0 : k0 + step, None, r0:], out=chunk)
+            if k0 == 0:
+                np.minimum.reduce(chunk, axis=0, out=block)
+            else:
+                np.minimum.reduce(chunk, axis=0, out=part)
+                np.minimum(block, part, out=block)
+
+
+_T = TypeVar("_T")
+
+
+def _each_row_block(n: int, task: Callable[[int], _T]) -> List[_T]:
+    """task(r0) for the first row r0 of each row block at size n, in order.
+
+    The tasks run on a thread pool, widest block first; numpy releases
+    the GIL on blocks this large.  It has one worker per CPU the process
+    may run on, but no more workers than blocks or than n^2 /
+    _BLOCK_ENTRIES, so that their scratch buffers together stay within
+    about one n x n matrix.  Every n below 363 runs on one worker, in
+    the calling thread.
+    """
+    starts = range(0, n, _row_block_size(n))
+    workers = min(len(starts), _cpus(), max(1, n * n // _BLOCK_ENTRIES))
+    if workers == 1:
+        return [task(r0) for r0 in starts]
+    # imported here: it loads logging, which one-worker callers never need
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        # list() waits for every task and re-raises a worker's error
+        return list(pool.map(task, starts))
+
+
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
     """S[i, j] = min over k of d[i, k] + d[k, j], in float64 arithmetic.
 
-    Rows are filled in blocks of about _ROW_BLOCK_ENTRIES entries (one
-    block of all n rows when n <= 90).  d must be exactly symmetric, as an
-    instance matrix is; then so is S (float addition commutes), so each
-    block fills only the columns from its first row onward, and the rest
-    is copied from the transpose once every block is done.
-
-    A block takes the k values in chunks whose sums fit a scratch buffer
-    of at most _BLOCK_ENTRIES entries: one broadcast add writes the
-    chunk's sums d[i, k] + d[k, j], one minimum-reduce over k folds them
-    into a block-sized accumulator, and one minimum folds that into the
-    block; the first chunk reduces straight into the block.  Up to n = 40
-    the whole pass is one add and one reduce.  np.minimum settles a tie
-    between -0.0 and 0.0 the same way in every call, and the reduce runs
-    over k in order, so each entry is the minimum of the same float sums
-    in the same order as a loop over one k at a time takes it: S is that
-    loop's, bit for bit, whatever the chunk and block shapes.  (numpy
-    reduces a lone column in SIMD lanes, out of order, so a one-column
-    block takes one k at a time.)  Where a pair of d holds -0.0 and 0.0,
-    a mirrored entry can differ from the loop's in the sign of a zero,
+    :func:`_fill_min_plus` fills each row block of S straight into S,
+    the blocks spread over workers by :func:`_each_row_block`.  d must
+    be exactly symmetric, as an instance matrix is; then so is S (float
+    addition commutes), so each block fills only the columns from its
+    first row onward, and the rest is copied from the transpose once
+    every block is done.  S equals the loop over one k at a time, bit
+    for bit, except that where a pair of d holds -0.0 and 0.0, a
+    mirrored entry can differ from the loop's in the sign of a zero,
     which no caller reads.
-
-    The blocks write disjoint parts of S, so they run on a thread pool,
-    handed out widest first; numpy releases the GIL on blocks this
-    large.  It has one worker per CPU the process may run on, but no more
-    workers than blocks or than n^2 / _BLOCK_ENTRIES, so that their
-    scratch buffers together stay within about one n x n matrix.  Every
-    n below 363 runs on one worker, in the calling thread.  Blocks of at
-    least _UNBUFFERED_MIN_COLUMNS columns run under :func:`_unbuffered`,
-    because under numpy's default buffer the broadcast add copies its
-    operands through that buffer; narrower blocks are faster with the
-    copy, through a buffer of one k's sums, which also keeps numpy's
-    iterator buffers that small.
     """
     n = d.shape[0]
-    rows = min(n, max(1, _ROW_BLOCK_ENTRIES // n))
-    starts = range(0, n, rows)
+    rows = _row_block_size(n)
     s = np.empty_like(d)
-
-    def fill(r0: int) -> None:
-        block = s[r0 : r0 + rows, r0:]
-        h, w = block.shape
-        step = max(1, _BLOCK_ENTRIES // (h * w)) if w > 1 else 1
-        sums = np.empty((min(step, n), h, w))
-        part = np.empty((h, w)) if step < n else None
-        # left[k, i] = d[r0 + i, k], the first operand of every sum
-        left = d[r0 : r0 + rows].T
-        size = 16 if w >= _UNBUFFERED_MIN_COLUMNS else -(-h * w // 16) * 16
-        with _unbuffered(size):
-            for k0 in range(0, n, step):
-                chunk = sums[: n - k0]  # the last chunk may be shorter
-                np.add(left[k0 : k0 + step, :, None], d[k0 : k0 + step, None, r0:], out=chunk)
-                if k0 == 0:
-                    np.minimum.reduce(chunk, axis=0, out=block)
-                else:
-                    np.minimum.reduce(chunk, axis=0, out=part)
-                    np.minimum(block, part, out=block)
-
-    workers = min(len(starts), _cpus(), max(1, n * n // _BLOCK_ENTRIES))
-    if workers == 1:
-        for r0 in starts:
-            fill(r0)
-    else:
-        # imported here: it loads logging, which one-worker callers never need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            # list() waits for every block and re-raises a worker's error
-            list(pool.map(fill, starts))
-    for r0 in starts:
+    _each_row_block(n, lambda r0: _fill_min_plus(d, r0, s[r0 : r0 + rows, r0:]))
+    for r0 in range(rows, n, rows):
         s[r0 : r0 + rows, :r0] = s[:r0, r0 : r0 + rows].T
     return s
 
@@ -338,26 +378,45 @@ def validate_metric(inst: Instance, tol: Optional[float] = None) -> MetricReport
     raises ValueError; otherwise the report never raises and callers
     decide what a failure means.
 
-    The triangle check is a min-plus pass: S[i, j] = min_k fl(d[i, k] +
-    d[k, j]), then max_triangle_violation = max_ij fl(d[i, j] - S[i, j]).
+    The triangle check is a min-plus pass: with S[i, j] = min_k fl(d[i,
+    k] + d[k, j]), max_triangle_violation = max_ij fl(d[i, j] - S[i, j]).
     Rounded subtraction is monotone, so fl(d[i, j] - S[i, j]) equals
     max_k fl(d[i, j] - fl(d[i, k] + d[k, j])) exactly, and the maximum is
     the one a loop over every triple would find, bit for bit.  The witness
     is the first worst pair (i, j) in row-major order and the smallest k
-    with fl(d[i, k] + d[k, j]) = S[i, j]; such a k exists in both halves
-    of the pass because d is exactly symmetric and float addition
-    commutes.  The value reported is that triple's own gap, so even the
-    sign of a zero matches the loop.
+    with fl(d[i, k] + d[k, j]) = S[i, j]; such a k exists because d is
+    exactly symmetric and float addition commutes.  The value reported is
+    that triple's own gap, so even the sign of a zero matches the loop.
+
+    S is never held whole.  Each row block of the min-plus pass, as
+    :func:`_min_plus_square` cuts it (its rows, its columns from its
+    first row on), is filled into a block-sized buffer of its worker, d
+    minus the buffer is written over it, and the block gives its largest
+    gap and the first (i, j) holding it.  That suffices, because the
+    first worst pair in row-major order lies on or above the diagonal:
+    S is symmetric up to the sign of a zero, so a worst pair (i, j)
+    below it has a mirror (j, i), as bad, in an earlier row.  The blocks
+    cover disjoint rows, so the largest gap of the earliest block that
+    holds it is at the first worst pair.
     """
     d = inst.dist
+    n = inst.n
     tol = default_tol(inst.max_dist()) if tol is None else check_tol(tol)
-    gaps = _min_plus_square(d)
-    np.subtract(d, gaps, out=gaps)
-    i, j = divmod(int(gaps.argmax()), inst.n)
+    rows = _row_block_size(n)
+
+    def worst_in(r0: int) -> Tuple[float, int, int]:
+        gaps = np.empty((min(rows, n - r0), n - r0))
+        _fill_min_plus(d, r0, gaps)
+        np.subtract(d[r0 : r0 + rows, r0:], gaps, out=gaps)
+        i, j = divmod(int(gaps.argmax()), n - r0)
+        return gaps[i, j], r0 + i, r0 + j
+
+    # max() keeps the first of equal gaps, the earliest block's
+    _, i, j = max(_each_row_block(n, worst_in), key=lambda block: block[0])
     k = int(np.argmin(d[i] + d[:, j]))
     worst = float(d[i, j] - (d[i, k] + d[k, j]))
     return MetricReport(
-        n=inst.n, tol=tol, max_triangle_violation=worst, worst_triple=(i, j, k),
+        n=n, tol=tol, max_triangle_violation=worst, worst_triple=(i, j, k),
         passed=worst <= tol,
     )
 
@@ -372,11 +431,19 @@ def pairwise_distances(points: Sequence[Sequence[float]], norm: str) -> np.ndarr
     bit-identical to the unscaled formula.  Distances too large for a
     float come out as inf, which :class:`Instance` rejects.
 
-    Rows are computed in blocks whose n x n x d differences hold about
-    _BLOCK_ENTRIES entries (at least one row), so the only n x n arrays
-    are the result and its symmetrized copy.  Each block evaluates the
-    whole-array formula on its rows, reducing over the coordinates of
-    each pair as that formula does, so every entry is bit-identical to it.
+    Rows are computed in blocks whose differences, one n-wide plane per
+    coordinate, hold about _BLOCK_ENTRIES entries (at least one row), so
+    the result is the only n x n array.  The planes are summed (or, for
+    chebyshev, maxed) in coordinate order: for fewer than 8 coordinates
+    that is the order numpy's own sum over the coordinates takes, bit for
+    bit, and it is several times faster than reducing each pair's short
+    axis.
+
+    The result is exactly symmetric, with every zero +0.0, so it equals
+    its elementwise minimum with its transpose and needs no fold: a
+    rounded difference negates exactly when its operands swap, so the
+    pairs (i, j) and (j, i) square, or take the absolute value of, the
+    same terms and combine them in the same order.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -386,27 +453,51 @@ def pairwise_distances(points: Sequence[Sequence[float]], norm: str) -> np.ndarr
     n, dim = pts.shape
     rows = max(1, min(n, _BLOCK_ENTRIES // max(1, n * dim)))
     d = np.empty((n, n))
-    diff = np.empty((rows, n, dim))
+    # coords[c] holds coordinate c of every point, planes[c] its differences
+    coords = np.ascontiguousarray(pts.T)
+    planes = np.empty((dim, rows, n))
+    combine = np.maximum if norm == "chebyshev" else np.add
     with np.errstate(over="ignore"):
         if norm == "euclidean":
             e = math.frexp(float((pts.max(axis=0) - pts.min(axis=0)).max(initial=0.0)))[1]
         for r0 in range(0, n, rows):
             out = d[r0 : r0 + rows]
-            block = diff[: len(out)]
-            np.subtract(pts[r0 : r0 + rows, None, :], pts[None, :, :], out=block)
+            block = planes[:, : len(out)]
+            np.subtract(coords[:, r0 : r0 + rows, None], coords[:, None, :], out=block)
             if norm == "euclidean":
                 np.ldexp(block, -e, out=block)
                 np.multiply(block, block, out=block)
-                block.sum(axis=2, out=out)
-                np.sqrt(out, out=out)
-                np.ldexp(out, e, out=out)
             else:
                 np.abs(block, out=block)
-                (block.sum if norm == "manhattan" else block.max)(axis=2, out=out)
-    diff = block = None  # free the buffer before the n x n minimum below
+            # every term is +0.0 or more, so starting from 0.0 changes no bit
+            out.fill(0.0)
+            for plane in block:
+                combine(out, plane, out=out)
+            if norm == "euclidean":
+                np.sqrt(out, out=out)
+                np.ldexp(out, e, out=out)
     np.fill_diagonal(d, 0.0)
-    # symmetrize to kill last-bit asymmetry from float evaluation order
-    return np.minimum(d, d.T)
+    return d
+
+
+def _fold_min_transpose(d: np.ndarray) -> None:
+    """Overwrite the square d with np.minimum(d, d.T), bit for bit, in place.
+
+    Row block R takes the rows of R from its first column on and their
+    mirror, the columns of R from its first row on, and writes to each
+    the minimum of the two with the same operand order as the whole-array
+    formula, computed in two block-sized temporaries before either is
+    written (they share the square R x R).  Later blocks read no entry an
+    earlier one wrote.
+    """
+    n = d.shape[0]
+    rows = _row_block_size(n)
+    for r0 in range(0, n, rows):
+        across = d[r0 : r0 + rows, r0:]
+        down = d[r0:, r0 : r0 + rows].T  # down[i, j] mirrors across[i, j]
+        folded_across, folded_down = np.minimum(across, down), np.minimum(down, across)
+        across[...] = folded_across
+        down[...] = folded_down
 
 
 def _closure(raw: np.ndarray) -> np.ndarray:
@@ -442,7 +533,7 @@ def generate(spec: GeneratorSpec) -> Instance:
     raw = rng.uniform(0.1 * spec.scale, spec.scale, size=(spec.n, spec.n))
     raw = (raw + raw.T) / 2.0
     np.fill_diagonal(raw, 0.0)
-    return Instance(_closure(raw))
+    return Instance._adopt(_closure(raw))
 
 
 def dump_instance(inst: Instance) -> str:
@@ -498,7 +589,12 @@ def _read_rows(
     at a time, counting the rows already read, so the errors and their
     order are those of that loop over every line.
     """
-    rows = np.empty((n, width))
+    try:
+        rows = np.empty((n, width))
+    except (MemoryError, ValueError):  # numpy raises the latter past its size limit
+        raise ValueError(
+            f"vertex count {n} is too large: {n} x {width} floats do not fit in memory"
+        ) from None
     step = max(1, _ROW_BLOCK_ENTRIES // width)
     count = 0
     while count < n:
@@ -559,11 +655,12 @@ def parse_instance(source: Union[str, Iterable[str]], tol: Optional[float] = Non
     read one line at a time and never whole; either gives the same
     instance or the same error.
 
-    Raises ValueError on malformed input, on n < 3, and, in matrix mode,
-    on an asymmetric pair above tolerance (by default 1e-9 times the
-    largest magnitude).  Asymmetry within tolerance is folded away by the
-    elementwise minimum of the matrix and its transpose, as
-    :func:`pairwise_distances` does.  :func:`load_instance` adds the
+    Raises ValueError on malformed input, on n < 3, on an n whose array
+    does not fit in memory, and, in matrix mode, on an asymmetric pair
+    above tolerance (by default 1e-9 times the
+    largest magnitude).  Asymmetry within tolerance is folded away, in
+    place, to the elementwise minimum of the matrix and its transpose
+    (:func:`_fold_min_transpose`).  :func:`load_instance` adds the
     triangle check.  A NaN or negative tol raises ValueError.  A file
     that cannot be decoded raises its UnicodeDecodeError, a ValueError
     too, before any other error: on an early error the rest of the file
@@ -612,10 +709,10 @@ def _parse_lines(lines: Iterator[str], sym_tol: Optional[float]) -> Instance:
         dist = _read_rows(lines, n, n, "matrix rows", "bad matrix entry", "entries")
         _check_finite(dist)
         if sym_tol is None:
-            sym_tol = default_tol(float(np.abs(dist).max()))
+            sym_tol = default_tol(max(float(dist.max()), -float(dist.min())))
         if _check_symmetric(dist, sym_tol):
-            dist = np.minimum(dist, dist.T)
-        inst = Instance(dist)
+            _fold_min_transpose(dist)
+        inst = Instance._adopt(dist)
     elif mode == "points":
         norm_text = next(lines, None)
         if norm_text is None:

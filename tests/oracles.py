@@ -49,7 +49,8 @@ from maxtsp.cyclecover import (
 )
 from maxtsp.exact import check_dp_size
 from maxtsp.metricspace import (
-    NORM_TAGS, Instance, _check_finite, _check_symmetric, _nonblank_lines, check_tol, default_tol,
+    NORM_TAGS, Instance, MetricReport, _check_finite, _check_symmetric, _nonblank_lines, check_tol,
+    default_tol,
 )
 
 BRUTE_FORCE_VERTEX_CAP = 12
@@ -398,8 +399,10 @@ def pairwise_distances_whole(points: Sequence[Sequence[float]], norm: str) -> np
 
     The formula pairwise_distances evaluates block by block: euclidean
     differences scaled by 2^-e (2^e just above the widest coordinate
-    range) before squaring and the distances back by 2^e, a zero
-    diagonal, and the elementwise minimum with the transpose.
+    range) before squaring and the distances back by 2^e, the
+    coordinates' terms added (or, for chebyshev, maxed) in index order, a
+    zero diagonal, and the elementwise minimum with the transpose.  For
+    fewer than 8 coordinates numpy's sum over them takes that order too.
     """
     pts = np.asarray(points, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -407,12 +410,17 @@ def pairwise_distances_whole(points: Sequence[Sequence[float]], norm: str) -> np
         if norm == "euclidean":
             e = math.frexp(float((pts.max(axis=0) - pts.min(axis=0)).max(initial=0.0)))[1]
             np.ldexp(diff, -e, out=diff)
-            d = np.sqrt((diff * diff).sum(axis=2))
-            np.ldexp(d, e, out=d)
-        elif norm == "manhattan":
-            d = np.abs(diff).sum(axis=2)
+            terms = diff * diff
         else:
-            d = np.abs(diff).max(axis=2)
+            terms = np.abs(diff)
+        d = terms[:, :, 0].copy()
+        for c in range(1, terms.shape[2]):
+            if norm == "chebyshev":
+                d = np.maximum(d, terms[:, :, c])
+            else:
+                d = d + terms[:, :, c]
+        if norm == "euclidean":
+            d = np.ldexp(np.sqrt(d), e)
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
 
@@ -538,6 +546,27 @@ def min_plus_square_reference(d: np.ndarray) -> np.ndarray:
     for r0 in range(0, n, rows):
         s[r0 : r0 + rows, :r0] = s[:r0, r0 : r0 + rows].T
     return s
+
+
+def validate_metric_reference(inst: Instance, tol: Optional[float] = None) -> MetricReport:
+    """metricspace.validate_metric through the whole min-plus square.
+
+    S from min_plus_square_reference, the gaps d - S, the first argmax
+    (i, j) over all of them in row-major order, then the smallest k with
+    d[i, k] + d[k, j] = S[i, j]; the value reported is that triple's own
+    gap.  The pass validate_metric ran before it folded each row block's
+    gaps into a maximum.
+    """
+    d = inst.dist
+    tol = default_tol(inst.max_dist()) if tol is None else check_tol(tol)
+    gaps = d - min_plus_square_reference(d)
+    i, j = divmod(int(gaps.argmax()), inst.n)
+    k = int(np.argmin(d[i] + d[:, j]))
+    worst = float(d[i, j] - (d[i, k] + d[k, j]))
+    return MetricReport(
+        n=inst.n, tol=tol, max_triangle_violation=worst, worst_triple=(i, j, k),
+        passed=worst <= tol,
+    )
 
 
 def augment_reference(t: TransportPlan, supply: np.ndarray, demand: np.ndarray) -> None:

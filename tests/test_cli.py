@@ -211,11 +211,15 @@ class TestStreamedFiles:
     def test_validate_peak_stays_under_three_matrices(
         self, tmp_path, capsys, monkeypatch, norm, dim, matrix
     ):
-        # the file is read line by line and the points' differences exist
-        # one row block at a time; a whole read, or all n x n x d
-        # differences at once, peaks at 4.9 to 25 matrices here.  Two
-        # workers fix the metric check's scratch (a chunk buffer and an
-        # accumulator each) on any host, and the untraced first call loads the thread pool.
+        # the file is read line by line, the points' differences exist
+        # one row block at a time, the instance adopts the parsed or
+        # computed matrix, and the metric check holds block-sized scratch
+        # only: 1.46 to 1.55 matrices here.  A whole read, or all n x n x
+        # d differences at once, peaks at 4.9 to 25 matrices; a copy in
+        # the instance and the whole square of gaps took 2.42 to 2.51.
+        # Two workers fix the metric check's scratch (a chunk buffer, an
+        # accumulator and a block of gaps each) on any host, and the
+        # untraced first call loads the thread pool.
         n = 600
         monkeypatch.setattr(maxtsp.metricspace, "_cpus", lambda: 2)
         inst = Instance.from_points(np.random.default_rng(7).uniform(size=(n, dim)), norm)
@@ -228,7 +232,7 @@ class TestStreamedFiles:
         finally:
             tracemalloc.stop()
         assert "result: pass" in capsys.readouterr().out
-        assert peak <= 3 * n * n * 8
+        assert peak <= 2 * n * n * 8
 
 
 def test_import_leaves_networkx_unloaded():
@@ -479,6 +483,24 @@ class TestOutOfRangeNumbers:
         assert capsys.readouterr().out == f"invalid: bad coordinate dimension '{dim}'\n"
         assert main(["solve", str(path), "--five-sixths"]) == 1
         assert capsys.readouterr().err == f"error: bad coordinate dimension '{dim}'\n"
+
+    @pytest.mark.parametrize(
+        "header, n",
+        (("maxtsp v1 1000000 matrix", 1000000),
+         ("maxtsp v1 1000000000000 points\nnorm euclidean dim 1", 1000000000000),
+         # past numpy's own size limit, which it reports as a ValueError
+         ("maxtsp v1 10000000000 matrix", 10000000000)),
+        ids=("matrix", "points", "matrix-past-numpy-limit"),
+    )
+    def test_a_header_too_large_for_memory_names_n(self, tmp_path, capsys, header, n):
+        path = tmp_path / "huge.txt"
+        path.write_text(header + "\n0 1 1\n", encoding="utf-8")
+        width = 1 if "points" in header else n
+        message = f"vertex count {n} is too large: {n} x {width} floats do not fit in memory"
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == (f"invalid: {message}\n", "")
+        assert main(["solve", str(path), "--five-sixths"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("flags", (["--five-sixths"], ["--exact"], ["--algoA", "0.5"]))
     def test_coordinates_whose_squares_overflow_solve(self, tmp_path, capsys, flags):
