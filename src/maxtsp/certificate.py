@@ -1,10 +1,10 @@
 """Solver certificates: what ran, with which parameters, claiming what.
 
-Every driver returns a :class:`Certificate` next to its tour.  The
-certificate is the audit trail for the guarantee: which branch ran, the
-parameters it was given, the intermediate weights, and the ratio bound
-the run claims.  ``certified`` is False whenever a desk-scale cap forced
-the run off the branch the scheme prescribes; such a tour is still valid,
+Every driver returns a :class:`Certificate` next to its tour, built by
+:func:`certify`: the audit trail for the guarantee, with the branch that
+ran, its parameters, the intermediate weights, and the ratio bound the
+run claims.  ``certified`` is False whenever a desk-scale cap forced the
+run off the branch the scheme prescribes; such a tour is still valid,
 but its claimed bound is only the unconditional cover-relative one.
 """
 
@@ -72,3 +72,36 @@ class Certificate:
                 text = repr(value)
             lines.append(f"{key} = {text}")
         return "\n".join(lines)
+
+
+def asymptotic_error(n: int, dim: float) -> float:
+    """(11/6) / n^(1/(2*dim+1)), the relative error of asymptotic's pipeline."""
+    return (11.0 / 6.0) / n ** (1.0 / (2.0 * dim + 1.0))
+
+
+def certify(
+    branch: str, n: int, weight_tour: float, prescribed: bool = True, **fields
+) -> Certificate:
+    """The certificate of a run on n vertices, with the other fields it has.
+
+    The one claim rule: five-sixths claims 5/6, exact-dp 1, algorithm-A
+    the chain bound 1 - (2/3)*delta - k_after_gluing/n, which needs no
+    dim.  An algorithm-A run on its scheme's prescribed branch claims the
+    scheme's target instead: 1 - epsilon under eptas (epsilon given),
+    1 - asymptotic_error(n, dim) under asymptotic (n_threshold, no
+    epsilon).  A run off its prescribed branch (prescribed = False) keeps
+    the chain bound and is the one kind with certified = False.
+    """
+    if branch == "five-sixths":
+        bound = 5.0 / 6.0
+    elif branch == "exact-dp":
+        bound = 1.0
+    elif prescribed and fields.get("epsilon") is not None:
+        bound = 1.0 - fields["epsilon"]
+    elif prescribed and fields.get("n_threshold") is not None:
+        bound = 1.0 - asymptotic_error(n, fields["dim"])
+    else:
+        bound = 1.0 - (2.0 / 3.0) * fields["delta"] - fields["k_after_gluing"] / n
+    return Certificate(
+        branch=branch, certified=prescribed, weight_tour=weight_tour, claimed_bound=bound, **fields
+    )

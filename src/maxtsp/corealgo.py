@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .certificate import Certificate
+from .certificate import Certificate, certify
 from .cyclecover import (
     CycleCover,
     Edge,
@@ -176,7 +176,7 @@ def algorithm_A(
 ) -> Tuple[Tour, Certificate]:
     """Full pipeline: maximum cover, gluing loop, patch into a tour.
 
-    The certificate's claimed_bound is 1 - (2/3)*delta - k_final/n, the
+    The certificate (see :func:`maxtsp.certificate.certify`) claims the
     cover-relative chain bound, which also bounds the ratio against the
     optimum because the maximum cover outweighs every tour.  It is
     positive for every valid input: k_final <= n/3 and delta < 1.  It
@@ -187,16 +187,5 @@ def algorithm_A(
     cover = max_weight_cycle_cover(inst)
     glued = gluing_loop(inst, cover, delta)
     tour = serdyukov_combine(inst, glued)
-    bound = 1.0 - (2.0 / 3.0) * delta - glued.k / inst.n
-    cert = Certificate(
-        branch="algorithm-A",
-        weight_tour=tour.weight,
-        claimed_bound=bound,
-        certified=True,
-        delta=delta,
-        dim=dim,
-        k_initial=cover.k,
-        k_after_gluing=glued.k,
-        weight_cover=cover.weight,
-    )
-    return tour, cert
+    observed = {"weight_cover": cover.weight, "k_initial": cover.k, "k_after_gluing": glued.k}
+    return tour, certify("algorithm-A", inst.n, tour.weight, delta=delta, dim=dim, **observed)

@@ -1,28 +1,19 @@
 """Top-level solver schemes with honest certification.
 
-Two entry points.  :func:`eptas` targets a caller-chosen accuracy
-epsilon: large epsilon is served by the 5/6 fallback, small instances by
-the exact DP, and everything else by the gluing pipeline with
-delta = (12/11) * epsilon, which meets the (1 - epsilon) target whenever
-n exceeds the accuracy threshold n(eps) = ((11/6)/eps)^(2*dim+1).
-:func:`asymptotic` instead lets the accuracy float with n, running the
-pipeline at delta = 2 / n^(1/(2*dim+1)) for a relative error bound of
-(11/6) / n^(1/(2*dim+1)).
-
+:func:`eptas` targets a caller-chosen accuracy epsilon, :func:`asymptotic`
+lets the accuracy grow with n.  Each plans a branch, runs that branch's
+entry point, and hands what it observed, with the scheme's parameters, to
+:func:`maxtsp.certificate.certify`, which holds every claim's formula.
 Both guarantees are conditional on the caller-supplied doubling-dimension
-bound; nothing here estimates it.  When the exact branch is prescribed
-but the instance exceeds the DP cap, the pipeline runs instead and the
-certificate is marked certified = false with the unconditional
-cover-relative bound in place of the scheme's claim.
+bound; nothing here estimates it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Tuple
 
-from .certificate import Certificate
+from .certificate import Certificate, asymptotic_error, certify
 from .corealgo import algorithm_A
 from .cyclecover import Tour
 from .exact import HELD_KARP_CAP, exact_dp
@@ -63,16 +54,12 @@ def eptas(inst: Instance, epsilon: float, dim: float) -> Tuple[Tour, Certificate
     the DP cap, still runs the pipeline but returns certified = false.
     """
     branch, delta, n_threshold = eptas_plan(inst.n, epsilon, dim)
-    stamp = {"epsilon": float(epsilon), "dim": float(dim)}
+    # prescribed exact, too large for the DP: run the pipeline and say so
+    prescribed = not (branch == "exact-dp" and inst.n > HELD_KARP_CAP)
+    scheme = {"epsilon": float(epsilon), "dim": float(dim), "prescribed": prescribed}
     if branch != "five-sixths":
-        stamp["n_threshold"] = n_threshold
-    if branch == "algorithm-A":
-        stamp["claimed_bound"] = 1.0 - epsilon
-    elif branch == "exact-dp" and inst.n > HELD_KARP_CAP:
-        # prescribed exact, too large for the DP: run the pipeline and
-        # say so; the claimed bound stays the pipeline's own
-        branch, stamp["certified"] = "algorithm-A", False
-    return _run_branch(inst, branch, delta, stamp)
+        scheme["n_threshold"] = n_threshold
+    return _run_branch(inst, branch if prescribed else "algorithm-A", delta, **scheme)
 
 
 def asymptotic_threshold(dim: float) -> float:
@@ -92,7 +79,7 @@ def asymptotic_plan(n: int, dim: float) -> Tuple[str, float, float]:
     if n > asymptotic_threshold(dim):
         root = n ** (1.0 / (2.0 * dim + 1.0))
         if 2.0 / root < 1.0:
-            return "algorithm-A", 2.0 / root, (11.0 / 6.0) / root
+            return "algorithm-A", 2.0 / root, asymptotic_error(n, dim)
     return "five-sixths", float("nan"), 1.0 / 6.0
 
 
@@ -105,11 +92,10 @@ def asymptotic(inst: Instance, dim: float) -> Tuple[Tour, Certificate]:
     the gluing pipeline at delta = 2 / n^(1/(2*dim+1)), unless float
     rounding puts that delta at 1 (see :func:`asymptotic_plan`).
     """
-    branch, delta, err = asymptotic_plan(inst.n, dim)
-    stamp = {"dim": float(dim), "n_threshold": asymptotic_threshold(dim)}
-    if branch == "algorithm-A":
-        stamp["claimed_bound"] = 1.0 - err
-    return _run_branch(inst, branch, delta, stamp)
+    branch, delta, _ = asymptotic_plan(inst.n, dim)
+    return _run_branch(
+        inst, branch, delta, dim=float(dim), n_threshold=asymptotic_threshold(dim)
+    )
 
 
 def _power(base: float, exponent: float) -> float:
@@ -121,15 +107,16 @@ def _power(base: float, exponent: float) -> float:
 
 
 def _run_branch(
-    inst: Instance, branch: str, delta: float, stamp: dict
+    inst: Instance, branch: str, delta: float, **scheme
 ) -> Tuple[Tour, Certificate]:
-    """Run one branch's entry point, then overwrite the certificate
-    fields the scheme owns (stamp: field name -> value).  The stamped
-    certificate is checked like a constructed one."""
+    """Run one branch's entry point, then certify what it observed under
+    the scheme's parameters (keywords of :func:`certify`)."""
     if branch == "five-sixths":
         tour, cert = kostochka_serdyukov_56(inst)
     elif branch == "exact-dp":
         tour, cert = exact_dp(inst)
     else:
         tour, cert = algorithm_A(inst, delta)
-    return tour, dataclasses.replace(cert, **stamp)
+    names = ("weight_cover", "k_initial", "k_after_gluing", "delta")
+    observed = {name: getattr(cert, name) for name in names}
+    return tour, certify(branch, inst.n, tour.weight, **observed, **scheme)

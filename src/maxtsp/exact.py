@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .certificate import Certificate
+from .certificate import Certificate, certify
 from .cyclecover import Tour
 from .metricspace import Instance, _unbuffered
 
@@ -172,9 +172,6 @@ def _walk_back(
 
 
 def exact_dp(inst: Instance) -> Tuple[Tour, Certificate]:
-    """:func:`held_karp_max` with its certificate: exact, so bound 1."""
+    """:func:`held_karp_max` with its certificate from :func:`certify`: exact, so bound 1."""
     tour = held_karp_max(inst)
-    cert = Certificate(
-        branch="exact-dp", weight_tour=tour.weight, claimed_bound=1.0, certified=True
-    )
-    return tour, cert
+    return tour, certify("exact-dp", inst.n, tour.weight)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from .certificate import Certificate
+from .certificate import Certificate, certify
 from .cyclecover import (
     CycleCover,
     Tour,
@@ -139,7 +139,8 @@ def kostochka_serdyukov_56(inst: Instance) -> Tuple[Tour, Certificate]:
     cycle (at most a third of each cycle), and closes the resulting paths
     into a tour recovering at least half of the dropped weight through the
     junction edges.  Both closing strategies are computed and the heavier
-    tour wins; the orientation-optimal one carries the guarantee.
+    tour wins; the orientation-optimal one carries the guarantee.  The
+    certificate comes from :func:`maxtsp.certificate.certify`.
     """
     cover = max_weight_cycle_cover(inst)
     if cover.k == 1:
@@ -149,12 +150,5 @@ def kostochka_serdyukov_56(inst: Instance) -> Tuple[Tour, Certificate]:
         best = _best_orientation_tour(inst, paths)
         greedy = _greedy_junction_tour(inst, paths)
         tour = best if best.weight >= greedy.weight else greedy
-    cert = Certificate(
-        branch="five-sixths",
-        weight_tour=tour.weight,
-        claimed_bound=5.0 / 6.0,
-        certified=True,
-        k_initial=cover.k,
-        weight_cover=cover.weight,
-    )
-    return tour, cert
+    observed = {"weight_cover": cover.weight, "k_initial": cover.k}
+    return tour, certify("five-sixths", inst.n, tour.weight, **observed)

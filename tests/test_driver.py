@@ -18,10 +18,10 @@ from maxtsp import (
     kostochka_serdyukov_56,
     max_weight_cycle_cover,
 )
+from maxtsp.certificate import certify
 from maxtsp.corealgo import gluing_loop
 from maxtsp.driver import (
     FALLBACK_EPSILON,
-    _run_branch,
     asymptotic_plan,
     asymptotic_threshold,
     eptas_plan,
@@ -275,11 +275,62 @@ def test_scheme_certificate_overwrites_only_its_own_fields(
     assert cert.to_dict() == {**expected.to_dict(), **own}
 
 
-@pytest.mark.parametrize("branch", ("five-sixths", "exact-dp", "algorithm-A"))
-def test_stamped_certificate_is_checked(branch):
-    # a stamp goes through the same checks as a constructed certificate
+def recomputed_claim(cert, n):
+    """(claimed_bound, certified) from the certificate's own fields and n,
+    by the formulas of the README's claim table."""
+    if cert.branch == "five-sixths":
+        return 5.0 / 6.0, True
+    if cert.branch == "exact-dp":
+        return 1.0, True
+    chain = 1.0 - (2.0 / 3.0) * cert.delta - cert.k_after_gluing / n
+    if cert.epsilon is not None:
+        # eptas prescribes the pipeline only above its threshold
+        return (1.0 - cert.epsilon, True) if n > cert.n_threshold else (chain, False)
+    if cert.n_threshold is not None:
+        return 1.0 - (11.0 / 6.0) / n ** (1.0 / (2.0 * cert.dim + 1.0)), True
+    return chain, True
+
+
+@pytest.mark.parametrize("scheme, n, epsilon, dim, branch, certified", SCHEME_BRANCHES)
+def test_scheme_claim_recomputes_from_the_certificate(scheme, n, epsilon, dim, branch, certified):
+    inst = random_metric(n, n)
+    tour, cert = eptas(inst, epsilon, dim) if scheme == "eptas" else asymptotic(inst, dim)
+    assert (cert.branch, cert.certified) == (branch, certified)
+    assert recomputed_claim(cert, len(tour.order)) == (cert.claimed_bound, cert.certified)
+
+
+ENTRY_POINTS = {
+    "algorithm_A": lambda inst: algorithm_A(inst, 0.3),
+    "algorithm_A-dim": lambda inst: algorithm_A(inst, 0.05, 2.0),
+    "exact_dp": exact_dp,
+    "kostochka_serdyukov_56": kostochka_serdyukov_56,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("n", (8, 17))
+def test_entry_point_claim_recomputes_from_the_certificate(entry, n):
+    tour, cert = ENTRY_POINTS[entry](random_metric(n, n))
+    assert cert.certified is True
+    assert recomputed_claim(cert, len(tour.order)) == (cert.claimed_bound, True)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    (
+        # chain bound 1 - 0.6 - 8/8
+        {"delta": 0.9, "k_after_gluing": 8},
+        # eptas target 1 - epsilon
+        {"epsilon": -0.5, "dim": 1.0, "n_threshold": 3.0},
+        # asymptotic target 1 - (11/6) / 8^(1/21)
+        {"dim": 10.0, "n_threshold": 2.0**21},
+    ),
+    ids=("chain", "eptas", "asymptotic"),
+)
+def test_certify_checks_its_bound(fields):
+    # a claim outside (0, 1] fails the certificate's own check
     with pytest.raises(ValueError, match="claimed_bound"):
-        _run_branch(random_metric(8, 0), branch, 0.5, {"claimed_bound": 1.5})
+        certify("algorithm-A", 8, 1.0, **fields)
 
 
 def test_algorithm_a_is_cover_gluing_loop_and_combine():
