@@ -10,7 +10,7 @@ import sys
 from typing import Optional
 
 from .corealgo import algorithm_A
-from .driver import asymptotic, eptas, eptas_plan
+from .driver import asymptotic, eptas
 from .exact import HELD_KARP_CAP, check_dp_size, exact_dp, held_karp_max
 from .merge import kostochka_serdyukov_56
 from .metricspace import (
@@ -86,9 +86,10 @@ def _solver(name: str, param, dim: Optional[float], parser, flag: str):
     """The function inst -> (Tour, Certificate) for one solver name.
 
     param is the delta of algoA or the epsilon of eptas, as given on the
-    command line; the other solvers ignore it.  flag names the solver in
-    the error raised when it needs --dim and has none; any dim given must
-    be non-negative, whatever the solver.
+    command line, and must lie in (0, 1); the other solvers ignore it.
+    flag names the solver in the error raised when it needs --dim and has
+    none; any dim given must be non-negative, whatever the solver.  These
+    checks need no instance, so they run before one is read or generated.
     """
     if name in ("algoA", "eptas"):
         param = float(param)
@@ -96,6 +97,8 @@ def _solver(name: str, param, dim: Optional[float], parser, flag: str):
         parser.error(f"{flag} requires --dim")
     if dim is not None:
         check_dim(dim)
+    if name in ("algoA", "eptas"):
+        check_delta(param, "delta" if name == "algoA" else "epsilon")
     if name == "algoA":
         return lambda inst: algorithm_A(inst, param, dim)
     if name == "eptas":
@@ -108,13 +111,14 @@ def _solver(name: str, param, dim: Optional[float], parser, flag: str):
 
 
 def _cmd_solve(args, parser) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        inst = load_instance(fh)
     for name in SOLVER_SPECS:
         param = getattr(args, name.replace("-", "_"))
         if param is not None and param is not False:
             break
-    tour, cert = _solver(name, param, args.dim, parser, f"--{name}")(inst)
+    run = _solver(name, param, args.dim, parser, f"--{name}")
+    with open(args.file, "r", encoding="utf-8") as fh:
+        inst = load_instance(fh)
+    tour, cert = run(inst)
     if args.out == "json":
         # strict JSON has no infinity: write the token to_text() prints
         certificate = {
@@ -191,12 +195,8 @@ def _cmd_bench(args, parser) -> int:
         for n in sizes
         for seed in range(args.seeds)
     ]
-    # the solver's own range errors, raised before any output
-    if name == "algoA":
-        check_delta(float(param))
-    elif name == "eptas":
-        eptas_plan(sizes[0], float(param), args.dim)
-    elif name == "exact":
+    # the DP cap, raised before any output like the solver's other checks
+    if name == "exact":
         for n in sizes:
             check_dp_size(n)
     columns = (

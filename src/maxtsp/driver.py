@@ -52,6 +52,7 @@ def eptas(inst: Instance, epsilon: float, dim: float) -> Tuple[Tour, Certificate
     threshold the gluing pipeline at delta = (12/11) * epsilon already
     meets the target.  The one dishonest corner, n <= n(eps) but above
     the DP cap, still runs the pipeline but returns certified = false.
+    The certificate comes from :func:`maxtsp.certificate.certify`.
     """
     branch, delta, n_threshold = eptas_plan(inst.n, epsilon, dim)
     # prescribed exact, too large for the DP: run the pipeline and say so
@@ -90,7 +91,8 @@ def asymptotic(inst: Instance, dim: float) -> Tuple[Tour, Certificate]:
     Small instances (n <= 2^(2*dim+1)) are served by the 5/6 fallback,
     whose 1/6 error is already below the target there.  Larger ones run
     the gluing pipeline at delta = 2 / n^(1/(2*dim+1)), unless float
-    rounding puts that delta at 1 (see :func:`asymptotic_plan`).
+    rounding puts that delta at 1 (see :func:`asymptotic_plan`).  The
+    certificate comes from :func:`maxtsp.certificate.certify`.
     """
     branch, delta, _ = asymptotic_plan(inst.n, dim)
     return _run_branch(

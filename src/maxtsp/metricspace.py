@@ -523,8 +523,12 @@ def generate(spec: GeneratorSpec) -> Instance:
     half-length interval around any point covers each half of any
     interval).  euclidean: uniform points in [0, scale]^d.  Both carry
     their points, under the euclidean norm.  random-metric: symmetric
-    uniform weights repaired by shortest-path closure.
+    uniform weights repaired by shortest-path closure.  An n whose n x n
+    matrix does not fit in memory raises the parser's ValueError first.
     """
+    # allocated and dropped: it fails here, before any work, where the
+    # family's own n x n matrix could not be allocated
+    _empty_rows(spec.n, spec.n)
     rng = np.random.default_rng(spec.seed)
     if spec.family != "random-metric":
         d = 1 if spec.family == "line" else spec.d
@@ -577,6 +581,16 @@ def _nonblank_lines(source: Union[str, Iterable[str]]) -> Iterator[str]:
                 yield line
 
 
+def _empty_rows(n: int, width: int) -> np.ndarray:
+    """np.empty((n, width)), or a ValueError naming n when it does not fit."""
+    try:
+        return np.empty((n, width))
+    except (MemoryError, ValueError):  # numpy raises the latter past its size limit
+        raise ValueError(
+            f"vertex count {n} is too large: {n} x {width} floats do not fit in memory"
+        ) from None
+
+
 def _read_rows(
     lines: Iterator[str], n: int, width: int, what: str, entry: str, unit: str
 ) -> np.ndarray:
@@ -589,12 +603,7 @@ def _read_rows(
     at a time, counting the rows already read, so the errors and their
     order are those of that loop over every line.
     """
-    try:
-        rows = np.empty((n, width))
-    except (MemoryError, ValueError):  # numpy raises the latter past its size limit
-        raise ValueError(
-            f"vertex count {n} is too large: {n} x {width} floats do not fit in memory"
-        ) from None
+    rows = _empty_rows(n, width)
     step = max(1, _ROW_BLOCK_ENTRIES // width)
     count = 0
     while count < n:

@@ -66,6 +66,20 @@ class TestGenerateValidate:
         assert err == f"error: scale must be a positive finite number, got {float(scale)}\n"
         assert not out.exists()
 
+    # Only sizes whose n x n matrix fails to allocate (7.28 TiB, or past
+    # numpy's own size limit): a size the kernel grants would be filled.
+    @pytest.mark.parametrize(
+        "family, n", (("random-metric", 10**6), ("line", 10**6), ("random-metric", 10**10))
+    )
+    def test_generate_too_large_for_memory_names_n(self, tmp_path, capsys, family, n):
+        out = tmp_path / "huge.txt"
+        rc = main(["generate", "--family", family, "--n", str(n), "--seed", "0",
+                   "--out", str(out)])
+        assert rc == 1
+        message = f"vertex count {n} is too large: {n} x {n} floats do not fit in memory"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_validate_rejects_triangle_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text(
@@ -378,6 +392,37 @@ class TestSolve:
         rc = main(["solve", path, "--algoA", "1.5"])
         assert rc == 1
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        ((["--algoA", "1.5"], "delta must be in (0, 1), got 1.5"),
+         (["--eptas", "0", "--dim", "1"], "epsilon must be in (0, 1), got 0.0"),
+         (["--five-sixths", "--dim", "-1"], "dim must be non-negative, got -1.0")),
+        ids=("delta", "epsilon", "dim"),
+    )
+    def test_flags_are_checked_before_the_file_is_opened(self, tmp_path, capsys, flags, message):
+        # a missing file would be reported if it were opened first
+        rc = main(["solve", str(tmp_path / "missing.txt"), *flags])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_missing_dim_is_reported_before_the_file_is_opened(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(tmp_path / "missing.txt"), "--eptas", "0.1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --eptas requires --dim" in err
+        assert "missing.txt" not in err
+
+    def test_checks_that_need_n_come_after_the_file(self, tmp_path, capsys):
+        # the DP cap needs n: a missing file is reported first, a loaded
+        # file too large for the DP after it is read
+        missing = str(tmp_path / "missing.txt")
+        assert main(["solve", missing, "--exact"]) == 1
+        assert "No such file" in capsys.readouterr().err
+        path = write_instance(tmp_path, line_instance(25, seed=0))
+        assert main(["solve", path, "--exact"]) == 1
+        assert capsys.readouterr() == ("", "error: exact DP capped at 20 vertices, got 25\n")
 
     @pytest.mark.parametrize(
         "flags",
@@ -693,6 +738,18 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_size_too_large_for_memory_is_an_error(self, capsys):
+        # 10^6 vertices ask for a 7.28 TiB matrix, which fails to allocate
+        rc = main(["bench", "--family", "random-metric", "--n-list", "1000000", "--seeds", "1",
+                   "--solver", "algoA:0.5"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "n seed weight_cover k_initial k_final weight_tour claimed_bound ratio_cover ratio_opt"
+        ]
+        message = "vertex count 1000000 is too large: 1000000 x 1000000 floats do not fit in memory"
+        assert err == f"error: {message}\n"
 
     def test_bad_n_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
